@@ -92,7 +92,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "ppatcvet: %v\n", err)
 			return 2
 		}
-		patterns = changedDirPatterns(files)
+		nested, err := gitNestedModules(*dir)
+		if err != nil {
+			fmt.Fprintf(stderr, "ppatcvet: %v\n", err)
+			return 2
+		}
+		patterns = changedDirPatterns(files, nested)
 		if len(patterns) == 0 {
 			if *format == "json" {
 				fmt.Fprintln(stdout, "[]")

@@ -160,18 +160,49 @@ func TestFormatValidation(t *testing.T) {
 // TestChangedDirPatterns pins the pure file→pattern mapping -changed
 // rests on.
 func TestChangedDirPatterns(t *testing.T) {
-	got := changedDirPatterns([]string{
-		"internal/server/batch.go",
-		"internal/server/pool.go",
-		"internal/cluster/membership.go",
-		"internal/analysis/testdata/src/server/request.go", // fixture: dropped
-		"README.md",            // not Go: dropped
-		"main.go",              // module root
-		"docs/example_test.go", // any .go file counts
-	})
-	want := []string{".", "./docs", "./internal/cluster", "./internal/server"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("changedDirPatterns = %v, want %v", got, want)
+	for _, tc := range []struct {
+		name   string
+		files  []string
+		nested []string
+		want   []string
+	}{
+		{
+			name: "root module",
+			files: []string{
+				"internal/server/batch.go",
+				"internal/server/pool.go",
+				"internal/cluster/membership.go",
+				"internal/analysis/testdata/src/server/request.go", // fixture: dropped
+				"README.md",            // not Go: dropped
+				"main.go",              // module root
+				"docs/example_test.go", // any .go file counts
+			},
+			want: []string{".", "./docs", "./internal/cluster", "./internal/server"},
+		},
+		{
+			name:   "nested module and its subpackages dropped",
+			files:  []string{"tools/gen/main.go", "tools/gen/internal/x/x.go", "internal/core/memo.go"},
+			nested: []string{"tools/gen"},
+			want:   []string{"./internal/core"},
+		},
+		{
+			name:   "parent and sibling of a nested module kept",
+			files:  []string{"tools/tools.go", "tools/genx/main.go", "tools/gen/main.go"},
+			nested: []string{"tools/gen"},
+			want:   []string{"./tools", "./tools/genx"},
+		},
+		{
+			name:   "only nested-module changes",
+			files:  []string{"bench/main.go", "bench/run/run.go"},
+			nested: []string{"bench", "other"},
+			want:   []string{},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := changedDirPatterns(tc.files, tc.nested); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("changedDirPatterns = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -185,6 +216,21 @@ func TestChangedModeAgainstHEAD(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-changed", "HEAD", "-dir", "../.."}, &stdout, &stderr); code != 0 {
 		t.Errorf("-changed HEAD exited %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+}
+
+// TestGitNestedModules finds the repository's one nested module, the
+// benchmark harness, and not the root module itself.
+func TestGitNestedModules(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	got, err := gitNestedModules("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"benchmark/testdata"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("gitNestedModules = %v, want %v", got, want)
 	}
 }
 

@@ -36,8 +36,14 @@ import (
 // SystemDesigns beyond the Clock override must not share a Memo across
 // them.
 //
-// A Memo is safe for concurrent use and unbounded: it is meant to live
-// for one sweep (a few designs × workloads × clocks), not forever.
+// A Memo is safe for concurrent use and unbounded: it grows by one entry
+// per distinct stage key and never evicts. That makes its lifetime the
+// caller's key domain. A sweep, whose spec axes (clock, custom
+// intensities) make keys unbounded, gets a memo for one run. A memo may
+// live for a whole process only when every caller evaluates bundled
+// designs at their own clock over a bounded key domain — the daemon's
+// validated requests reach at most 8 workloads, 2 designs and the named
+// grids, so its process-lifetime memo holds at most 22 entries.
 type Memo struct {
 	entries [numMemoStages]sync.Map // stage key -> *memoEntry
 	hits    [numMemoStages]atomic.Int64

@@ -44,6 +44,18 @@ func Suite(grid carbon.Grid) ([]SuiteRow, error) {
 // two evaluations, so the exported trace shows where the suite's
 // wall-clock went.
 func SuiteContext(ctx context.Context, grid carbon.Grid) ([]SuiteRow, error) {
+	return suiteWithMemo(ctx, nil, grid)
+}
+
+// SuiteContext is core.SuiteContext through the memo: every evaluation
+// replays the stages whose keyed inputs were already evaluated.
+func (m *Memo) SuiteContext(ctx context.Context, grid carbon.Grid) ([]SuiteRow, error) {
+	return suiteWithMemo(ctx, m, grid)
+}
+
+// suiteWithMemo is the one suite loop behind both entry points; m == nil
+// runs every stage of every evaluation.
+func suiteWithMemo(ctx context.Context, m *Memo, grid carbon.Grid) ([]SuiteRow, error) {
 	scenario := tcdp.PaperScenario()
 	var rows []SuiteRow
 	sctx, suiteSpan := obs.StartSpan(ctx, "suite")
@@ -55,12 +67,12 @@ func SuiteContext(ctx context.Context, grid carbon.Grid) ([]SuiteRow, error) {
 		}
 		wctx, wSpan := obs.StartSpan(sctx, "workload")
 		wSpan.SetStr("name", w.Name)
-		si, err := EvaluateContext(wctx, AllSiSystem(), w, grid)
+		si, err := evaluateWithMemo(wctx, m, AllSiSystem(), w, grid)
 		if err != nil {
 			wSpan.End()
 			return nil, fmt.Errorf("core: suite %s: %w", w.Name, err)
 		}
-		m3d, err := EvaluateContext(wctx, M3DSystem(), w, grid)
+		m3d, err := evaluateWithMemo(wctx, m, M3DSystem(), w, grid)
 		wSpan.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: suite %s: %w", w.Name, err)

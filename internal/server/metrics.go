@@ -73,6 +73,9 @@ type Metrics struct {
 	flightDropped         func() int64
 	streamSubs            func() int64
 	clusterPeers          func() int
+	// memoStats reads the stage memo's per-stage counters, rendered by
+	// WriteTo as ppatcd_stage_memo_{hits,misses}_total.
+	memoStats func() map[string]core.MemoStageStats
 }
 
 // slowExemplar is one endpoint × disposition pair's worst request.
@@ -100,6 +103,7 @@ func NewMetrics() *Metrics {
 		flightDropped:         func() int64 { return 0 },
 		streamSubs:            func() int64 { return 0 },
 		clusterPeers:          func() int { return 0 },
+		memoStats:             func() map[string]core.MemoStageStats { return nil },
 	}
 	m.requests = reg.CounterVec("ppatcd_requests_total", "Requests served, by endpoint.", "endpoint")
 	m.CacheHits = reg.Counter("ppatcd_cache_hits_total", "Result-cache hits.")
@@ -222,14 +226,52 @@ func (m *Metrics) StageCount(stage string) int64 {
 }
 
 // WriteTo renders the registry in Prometheus text exposition format,
-// followed by the slowest-request exemplar gauges.
+// followed by the stage-memo counters and the slowest-request exemplar
+// gauges.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	n, err := m.reg.WriteTo(w)
 	if err != nil {
 		return n, err
 	}
+	mn, err := m.writeMemoStats(w)
+	n += mn
+	if err != nil {
+		return n, err
+	}
 	en, err := m.writeExemplars(w)
 	return n + en, err
+}
+
+// writeMemoStats renders the stage memo's hit and miss counters, one
+// line per core.Stages() name: a miss is a stage that actually ran, a
+// hit one replayed from the memo. The memo owns the counts, so they are
+// read at render time rather than mirrored into registry counters.
+func (m *Metrics) writeMemoStats(w io.Writer) (int64, error) {
+	stats := m.memoStats()
+	var n int64
+	for _, fam := range []struct {
+		name, help string
+		val        func(core.MemoStageStats) int64
+	}{
+		{"ppatcd_stage_memo_hits_total", "Pipeline stages replayed from the stage memo, by stage.",
+			func(s core.MemoStageStats) int64 { return s.Hits }},
+		{"ppatcd_stage_memo_misses_total", "Pipeline stages run and stored in the stage memo, by stage.",
+			func(s core.MemoStageStats) int64 { return s.Misses }},
+	} {
+		c, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", fam.name, fam.help, fam.name)
+		n += int64(c)
+		if err != nil {
+			return n, err
+		}
+		for _, stage := range core.Stages() {
+			c, err := fmt.Fprintf(w, "%s{stage=%q} %d\n", fam.name, stage, fam.val(stats[stage]))
+			n += int64(c)
+			if err != nil {
+				return n, err
+			}
+		}
+	}
+	return n, nil
 }
 
 // writeExemplars renders one gauge line per endpoint × disposition

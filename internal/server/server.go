@@ -176,6 +176,11 @@ type Server struct {
 	metrics  *Metrics
 	recorder *flight.Recorder
 	log      *slog.Logger
+	// memo is the process-lifetime stage memo every cold computation
+	// evaluates through. Handlers validate requests down to bundled
+	// designs, workloads and named grids, so it holds at most 22 entries
+	// and needs no eviction.
+	memo *core.Memo
 	//ppatcvet:ignore ctxflow server lifetime root: Close cancels it to stop detached computations and sweep runners
 	base    context.Context
 	cancel  context.CancelFunc
@@ -204,8 +209,10 @@ func New(cfg Config) *Server {
 		flight:  newFlightGroup(),
 		metrics: NewMetrics(),
 		log:     cfg.Logger,
+		memo:    core.NewMemo(),
 		started: time.Now(),
 	}
+	s.metrics.memoStats = s.memo.Stats
 	s.recorder = flight.NewRecorder(cfg.FlightRecentSlots, cfg.FlightSlowSlots, cfg.SlowThreshold)
 	s.encodeStaticBodies()
 	s.base, s.cancel = context.WithCancel(context.Background())
@@ -404,12 +411,13 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-// workFn is one evaluation's encoder: it computes under ctx and writes
-// the JSON body into buf, which the caller owns (it comes from a reused
-// buffer pool — implementations must not retain buf or its bytes).
-// encodeNS reports the time spent serializing the result (as opposed to
-// computing it), so attribution can split the two.
-type workFn func(ctx context.Context, buf *bytes.Buffer) (encodeNS int64, err error)
+// workFn is one evaluation's encoder: it computes under ctx through memo
+// (nil: every stage runs fresh) and writes the JSON body into buf, which
+// the caller owns (it comes from a reused buffer pool — implementations
+// must not retain buf or its bytes). encodeNS reports the time spent
+// serializing the result (as opposed to computing it), so attribution
+// can split the two.
+type workFn func(ctx context.Context, memo *core.Memo, buf *bytes.Buffer) (encodeNS int64, err error)
 
 // encodePool recycles the encode buffers that workFns write into; the
 // cache copies what it stores, so a buffer is free for reuse the moment
@@ -489,12 +497,13 @@ func (s *Server) compute(ctx context.Context, key string, work workFn, att *flig
 		var encodeNS int64
 		bd := flight.Breakdown{PeerForwardNS: forwardNS}
 		// Every real computation runs under a trace so its stage spans
-		// feed the per-stage latency histograms; the trace itself is
-		// discarded (the ?trace=1 path returns one to the caller).
+		// feed the per-stage latency histograms (a stage the memo replays
+		// did not run and emits no span); the trace itself is discarded
+		// (the ?trace=1 path returns one to the caller).
 		tr := obs.NewTrace("")
 		tctx := obs.WithTrace(jctx, tr)
 		workStart := time.Now()
-		wait, perr := s.pool.DoClassMeasured(jctx, class, func() { encodeNS, werr = work(tctx, buf) })
+		wait, perr := s.pool.DoClassMeasured(jctx, class, func() { encodeNS, werr = work(tctx, s.memo, buf) })
 		if perr != nil {
 			return nil, bd, perr
 		}
@@ -593,9 +602,10 @@ type tracedTrace struct {
 	Spans []obs.SpanNode `json:"spans"`
 }
 
-// serveTraced computes fresh (no cache, no coalescing — timings are the
-// point) on the worker pool under a trace whose ID is the request ID,
-// read back from the response header instrument set.
+// serveTraced computes fresh (no cache, no coalescing, no stage memo —
+// timings are the point, so every stage runs and emits its span) on the
+// worker pool under a trace whose ID is the request ID, read back from
+// the response header instrument set.
 func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, work workFn) {
 	rid := w.Header().Get("X-Request-ID")
 	att := attributionOf(w)
@@ -609,7 +619,7 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, work workFn
 	var werr error
 	var encodeNS int64
 	workStart := time.Now()
-	wait, perr := s.pool.DoMeasured(jctx, func() { encodeNS, werr = work(tctx, buf) })
+	wait, perr := s.pool.DoMeasured(jctx, func() { encodeNS, werr = work(tctx, nil, buf) })
 	if perr != nil {
 		s.writeComputeError(w, perr)
 		return
@@ -679,12 +689,12 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 // tuple — shared by /v1/evaluate and /v1/batch items so both populate
 // the same cache entries.
 func (s *Server) evaluateWork(sysName string, wl embench.Workload, grid carbon.Grid) workFn {
-	return func(ctx context.Context, buf *bytes.Buffer) (int64, error) {
+	return func(ctx context.Context, memo *core.Memo, buf *bytes.Buffer) (int64, error) {
 		sys, err := core.SystemByName(sysName)
 		if err != nil {
 			return 0, err
 		}
-		res, err := core.EvaluateContext(ctx, sys, wl, grid)
+		res, err := memo.EvaluateContext(ctx, sys, wl, grid)
 		if err != nil {
 			return 0, err
 		}
@@ -716,8 +726,8 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	}
 	key := suiteKey(grid.Name)
 	fwd := s.forwardSpecFor(r, "/v1/suite", key, suiteRequest{Grid: grid.Name})
-	s.serveComputed(w, r, key, func(ctx context.Context, buf *bytes.Buffer) (int64, error) {
-		rows, err := core.SuiteContext(ctx, grid)
+	s.serveComputed(w, r, key, func(ctx context.Context, memo *core.Memo, buf *bytes.Buffer) (int64, error) {
+		rows, err := memo.SuiteContext(ctx, grid)
 		if err != nil {
 			return 0, err
 		}
@@ -815,17 +825,20 @@ func (s *Server) handleTCDP(w http.ResponseWriter, r *http.Request) {
 	fwd := s.forwardSpecFor(r, "/v1/tcdp", key, tcdpRequest{
 		Workload: wl.Name, Grid: grid.Name, Months: req.Months, OpScales: req.OpScales,
 	})
-	s.serveComputed(w, r, key, func(ctx context.Context, buf *bytes.Buffer) (int64, error) {
-		return computeTCDP(ctx, buf, wl, grid, req.Months, req.OpScales)
+	s.serveComputed(w, r, key, func(ctx context.Context, memo *core.Memo, buf *bytes.Buffer) (int64, error) {
+		return computeTCDP(ctx, memo, buf, wl, grid, req.Months, req.OpScales)
 	}, fwd)
 }
 
-func computeTCDP(ctx context.Context, buf *bytes.Buffer, wl embench.Workload, grid carbon.Grid, months float64, opScales []float64) (int64, error) {
-	si, err := core.EvaluateContext(ctx, core.AllSiSystem(), wl, grid)
+// computeTCDP evaluates both designs through memo and encodes the
+// lifetime what-if. Only the tcdp arithmetic depends on months and
+// opScales, so with a warm memo a novel lifetime costs no stage run.
+func computeTCDP(ctx context.Context, memo *core.Memo, buf *bytes.Buffer, wl embench.Workload, grid carbon.Grid, months float64, opScales []float64) (int64, error) {
+	si, err := memo.EvaluateContext(ctx, core.AllSiSystem(), wl, grid)
 	if err != nil {
 		return 0, err
 	}
-	m3d, err := core.EvaluateContext(ctx, core.M3DSystem(), wl, grid)
+	m3d, err := memo.EvaluateContext(ctx, core.M3DSystem(), wl, grid)
 	if err != nil {
 		return 0, err
 	}
