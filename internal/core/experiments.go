@@ -120,12 +120,20 @@ func Table2(w embench.Workload, grid carbon.Grid) (*PPAtC, *PPAtC, string, error
 // Table2Context is Table2 with cancellation and observability: tracing
 // and provenance flags carried by ctx (see internal/obs) flow into both
 // evaluations.
+//
+// Both designs run the same workload, and the paper's Step 4 yields one
+// cycle count and access mix per workload, so the two evaluations share
+// a memo that lives for this call only: the M3D evaluation replays the
+// all-Si run's ISA simulation, and a trace shows one embench span. The
+// results equal two independent EvaluateContext calls; nothing is cached
+// across calls.
 func Table2Context(ctx context.Context, w embench.Workload, grid carbon.Grid) (*PPAtC, *PPAtC, string, error) {
-	si, err := EvaluateContext(ctx, AllSiSystem(), w, grid)
+	memo := NewMemo()
+	si, err := memo.EvaluateContext(ctx, AllSiSystem(), w, grid)
 	if err != nil {
 		return nil, nil, "", err
 	}
-	m3d, err := EvaluateContext(ctx, M3DSystem(), w, grid)
+	m3d, err := memo.EvaluateContext(ctx, M3DSystem(), w, grid)
 	if err != nil {
 		return nil, nil, "", err
 	}

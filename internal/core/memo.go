@@ -38,12 +38,14 @@ import (
 //
 // A Memo is safe for concurrent use and unbounded: it grows by one entry
 // per distinct stage key and never evicts. That makes its lifetime the
-// caller's key domain. A sweep, whose spec axes (clock, custom
-// intensities) make keys unbounded, gets a memo for one run. A memo may
-// live for a whole process only when every caller evaluates bundled
-// designs at their own clock over a bounded key domain — the daemon's
-// validated requests reach at most 8 workloads, 2 designs and the named
-// grids, so its process-lifetime memo holds at most 22 entries.
+// caller's key domain. Table2Context gets a memo for one call, so its two
+// designs share one ISA simulation of the workload. A sweep, whose spec
+// axes (clock, custom intensities) make keys unbounded, gets a memo for
+// one run. A memo may live for a whole process only when every caller
+// evaluates bundled designs at their own clock over a bounded key
+// domain — the daemon's validated requests reach at most 8 workloads, 2
+// designs and the named grids, so its process-lifetime memo holds at most
+// 22 entries.
 type Memo struct {
 	entries [numMemoStages]sync.Map // stage key -> *memoEntry
 	hits    [numMemoStages]atomic.Int64

@@ -95,3 +95,46 @@ func TestMemoDoesNotCacheCancellation(t *testing.T) {
 		t.Fatalf("evaluation after cancelled run: %v", err)
 	}
 }
+
+// TestTable2SharesOneSimulation pins Table2Context's per-call memo: its
+// results equal two independent evaluations, provenance included, while
+// a trace records a single ISA simulation that the M3D evaluation
+// replays.
+func TestTable2SharesOneSimulation(t *testing.T) {
+	w, err := embench.ByName("crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := obs.WithProvenanceEnabled(context.Background())
+	tr := obs.NewTrace("")
+	si, m3d, _, err := Table2Context(obs.WithTrace(ctx, tr), w, carbon.GridUS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sys SystemDesign
+		got *PPAtC
+	}{{AllSiSystem(), si}, {M3DSystem(), m3d}} {
+		want, err := EvaluateContext(ctx, c.sys, w, carbon.GridUS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(c.got, want) {
+			t.Errorf("%s: Table2Context result differs from EvaluateContext", c.sys.Name)
+		}
+	}
+
+	spans := map[string]int{}
+	var count func(nodes []obs.SpanNode)
+	count = func(nodes []obs.SpanNode) {
+		for _, n := range nodes {
+			spans[n.Name]++
+			count(n.Children)
+		}
+	}
+	count(tr.Tree())
+	if spans["evaluate"] != 2 || spans[StageEmbench] != 1 || spans[StageEDRAM] != 2 {
+		t.Errorf("traced Table2Context spans = %v, want 2 evaluate, 1 %s, 2 %s",
+			spans, StageEmbench, StageEDRAM)
+	}
+}

@@ -471,3 +471,53 @@ func TestTwoT0CTopologyTradeOffs(t *testing.T) {
 		t.Errorf("2T0C read %.3g s unexpectedly meets 2 ns — check IGZO drive", tm.ReadDelay)
 	}
 }
+
+// TestBuildBitIdentical pins the macro outputs of both bundled designs
+// bit for bit: the SPICE solver's arithmetic order is part of the model,
+// so a solver refactor that changes any bit fails here.
+func TestBuildBitIdentical(t *testing.T) {
+	type bitsOf struct {
+		area, readE, writeE, readLat, writeLat, refreshP, leakP uint64
+	}
+	for _, tc := range []struct {
+		d    CellDesign
+		want bitsOf
+	}{
+		{SiCellDesign(), bitsOf{0x3e7248dc7eba2a92, 0x3db51f068feffe5e, 0x3db4147858f8fe21, 0x3dfe8f5d589010fd, 0x3df0b27444831e4c, 0x3f322ee64126f8bc, 0x3f1f75104d551d69}},
+		{M3DCellDesign(), bitsOf{0x3e5b05876e5b011f, 0x3db36eaac38cc008, 0x3db265383a7a1611, 0x3df6fc4af3940b36, 0x3e1afefafd240bcc, 0x0, 0x3f1797cc39ffd60f}},
+	} {
+		m, err := Build(tc.d, PaperArray(), PaperPeriphery(tc.d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := bitsOf{
+			math.Float64bits(float64(m.Area)),
+			math.Float64bits(m.ReadEnergy), math.Float64bits(m.WriteEnergy),
+			math.Float64bits(m.ReadLatency), math.Float64bits(m.WriteLatency),
+			math.Float64bits(m.RefreshPower), math.Float64bits(m.LeakagePower),
+		}
+		if got != tc.want {
+			t.Errorf("%s: got %#x\n want %#x", tc.d.Name, got, tc.want)
+		}
+	}
+}
+
+// TestCharacterizeCellAllocBudget holds the SPICE characterization to a
+// fixed allocation budget: an analysis builds its MNA system once and
+// reuses it across every Newton iteration and time step.
+func TestCharacterizeCellAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	d := SiCellDesign()
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := CharacterizeCell(d, 15e-15); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 2000
+	if allocs > budget {
+		t.Errorf("Si bitcell characterization: %.0f allocs, budget %d", allocs, budget)
+	}
+	t.Logf("Si bitcell characterization: %.0f allocs", allocs)
+}

@@ -20,9 +20,8 @@ func (c *Circuit) OP() (*Operating, error) {
 	if n == 0 {
 		return nil, errNoNodes
 	}
-	x := make([]float64, n)
-	st := &stampState{x: x, xPrev: make([]float64, n), dcMode: true}
-	if err := c.newton(st, n); err != nil {
+	st := &stampState{x: make([]float64, n), xPrev: make([]float64, n), dcMode: true}
+	if err := c.newton(st, newSystem(n)); err != nil {
 		return nil, fmt.Errorf("spice: DC operating point: %w", err)
 	}
 	return &Operating{circuit: c, x: st.x}, nil
@@ -62,10 +61,12 @@ func (o *Operating) SourceCurrent(id string) (float64, error) {
 // Two dampers keep the iteration stable: a hard per-step voltage clamp,
 // and an anti-ringing limiter that halves a node's step whenever its
 // update direction flips — this breaks the limit cycles that exponential
-// device characteristics otherwise sustain under fixed clamping.
-func (c *Circuit) newton(st *stampState, n int) error {
-	sys := newSystem(n)
-	prev := make([]float64, n)
+// device characteristics otherwise sustain under fixed clamping. sys is
+// the analysis's reusable MNA system; each call starts with a fresh
+// damper history.
+func (c *Circuit) newton(st *stampState, sys *system) error {
+	prev := sys.prev
+	clear(prev)
 	for iter := 0; iter < maxNewtonIters; iter++ {
 		sys.reset()
 		// gmin to ground keeps floating gate nodes well-posed.
@@ -75,10 +76,10 @@ func (c *Circuit) newton(st *stampState, n int) error {
 		for _, e := range c.elems {
 			e.stamp(sys, st)
 		}
-		xNew, err := sys.solve()
-		if err != nil {
+		if err := sys.solve(); err != nil {
 			return err
 		}
+		xNew := sys.x
 		var maxDelta float64
 		for i := range xNew {
 			d := xNew[i] - st.x[i]
@@ -147,10 +148,10 @@ func (c *Circuit) transient(tstop, dt float64, uic bool) (*Tran, error) {
 	}
 	// Initial condition: DC operating point with sources at t = 0, unless
 	// the caller asked for a zero start.
-	x := make([]float64, n)
-	st := &stampState{x: x, xPrev: make([]float64, n), dcMode: true, t: 0}
+	sys := newSystem(n)
+	st := &stampState{x: make([]float64, n), xPrev: make([]float64, n), dcMode: true, t: 0}
 	if !uic {
-		if err := c.newton(st, n); err != nil {
+		if err := c.newton(st, sys); err != nil {
 			return nil, fmt.Errorf("spice: transient initial OP: %w", err)
 		}
 	}
@@ -180,7 +181,7 @@ func (c *Circuit) transient(tstop, dt float64, uic bool) (*Tran, error) {
 	for t := dt; t <= tstop+dt/2; t += dt {
 		copy(st.xPrev, st.x)
 		st.t = t
-		if err := c.newton(st, n); err != nil {
+		if err := c.newton(st, sys); err != nil {
 			return nil, fmt.Errorf("spice: transient at t=%.3g s: %w", t, err)
 		}
 		record(t)

@@ -88,28 +88,30 @@ func (st *stampState) vPrev(n int) float64 {
 	return st.xPrev[n]
 }
 
-// system is the linearized MNA system G·x = b.
+// system is the linearized MNA system G·x = b together with the Newton
+// buffers. An analysis allocates one and reuses it across every Newton
+// iteration and time step.
 type system struct {
-	n int
-	g [][]float64
-	b []float64
+	n    int
+	g    []float64 // n×n, row-major
+	b    []float64
+	x    []float64 // solution of the last solve
+	prev []float64 // last damped step per node (Newton's anti-ringing limiter)
 }
 
 func newSystem(n int) *system {
-	g := make([][]float64, n)
-	for i := range g {
-		g[i] = make([]float64, n)
+	return &system{
+		n:    n,
+		g:    make([]float64, n*n),
+		b:    make([]float64, n),
+		x:    make([]float64, n),
+		prev: make([]float64, n),
 	}
-	return &system{n: n, g: g, b: make([]float64, n)}
 }
 
 func (s *system) reset() {
-	for i := range s.g {
-		for j := range s.g[i] {
-			s.g[i][j] = 0
-		}
-		s.b[i] = 0
-	}
+	clear(s.g)
+	clear(s.b)
 }
 
 // addG accumulates a conductance entry, skipping ground rows/columns.
@@ -117,7 +119,7 @@ func (s *system) addG(i, j int, v float64) {
 	if i < 0 || j < 0 {
 		return
 	}
-	s.g[i][j] += v
+	s.g[i*s.n+j] += v
 }
 
 // addB accumulates a RHS entry, skipping ground.
@@ -128,46 +130,54 @@ func (s *system) addB(i int, v float64) {
 	s.b[i] += v
 }
 
-// solve performs in-place Gaussian elimination with partial pivoting.
-// The matrix and RHS are destroyed.
-func (s *system) solve() ([]float64, error) {
-	n := s.n
+// solve performs in-place Gaussian elimination with partial pivoting into
+// s.x. The matrix and RHS are destroyed.
+func (s *system) solve() error {
+	n, g := s.n, s.g
 	for col := 0; col < n; col++ {
 		// Pivot.
 		p := col
-		max := abs(s.g[col][col])
+		max := abs(g[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if a := abs(s.g[r][col]); a > max {
+			if a := abs(g[r*n+col]); a > max {
 				max, p = a, r
 			}
 		}
 		if max < 1e-300 {
-			return nil, fmt.Errorf("spice: singular matrix at column %d", col)
+			return fmt.Errorf("spice: singular matrix at column %d", col)
 		}
-		s.g[col], s.g[p] = s.g[p], s.g[col]
-		s.b[col], s.b[p] = s.b[p], s.b[col]
-		inv := 1 / s.g[col][col]
+		if p != col {
+			rc, rp := g[col*n:(col+1)*n], g[p*n:(p+1)*n]
+			for k := range rc {
+				rc[k], rp[k] = rp[k], rc[k]
+			}
+			s.b[col], s.b[p] = s.b[p], s.b[col]
+		}
+		pivot := g[col*n : (col+1)*n]
+		inv := 1 / pivot[col]
 		for r := col + 1; r < n; r++ {
-			f := s.g[r][col] * inv
+			row := g[r*n : (r+1)*n]
+			f := row[col] * inv
 			if f == 0 {
 				continue
 			}
-			s.g[r][col] = 0
+			row[col] = 0
 			for k := col + 1; k < n; k++ {
-				s.g[r][k] -= f * s.g[col][k]
+				row[k] -= f * pivot[k]
 			}
 			s.b[r] -= f * s.b[col]
 		}
 	}
-	x := make([]float64, n)
+	x := s.x
 	for r := n - 1; r >= 0; r-- {
+		row := g[r*n : (r+1)*n]
 		sum := s.b[r]
 		for k := r + 1; k < n; k++ {
-			sum -= s.g[r][k] * x[k]
+			sum -= row[k] * x[k]
 		}
-		x[r] = sum / s.g[r][r]
+		x[r] = sum / row[r]
 	}
-	return x, nil
+	return nil
 }
 
 func abs(v float64) float64 {

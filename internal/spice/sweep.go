@@ -41,9 +41,10 @@ func (c *Circuit) DCSweep(sourceID string, values []float64) (*Sweep, error) {
 
 	sw := &Sweep{circuit: c, Values: append([]float64{}, values...)}
 	st := &stampState{x: make([]float64, n), xPrev: make([]float64, n), dcMode: true}
+	sys := newSystem(n)
 	for i, v := range values {
 		src.wave = DC(v)
-		if err := c.newton(st, n); err != nil {
+		if err := c.newton(st, sys); err != nil {
 			return nil, fmt.Errorf("spice: sweep point %d (%.4g V): %w", i, v, err)
 		}
 		pt := make([]float64, n)

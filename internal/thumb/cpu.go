@@ -3,6 +3,7 @@ package thumb
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // CPU is a Cortex-M0-class ARMv6-M Thumb core with cycle-accurate timing:
@@ -39,104 +40,410 @@ var ErrCycleBudget = errors.New("thumb: cycle budget exhausted")
 
 // Run executes until BKPT or until the cycle budget is exceeded.
 func (c *CPU) Run(maxCycles uint64) error {
-	for !c.Halted {
-		if c.Cycles >= maxCycles {
-			return ErrCycleBudget
-		}
-		if err := c.Step(); err != nil {
-			return err
-		}
+	if c.Halted {
+		return nil
 	}
-	return nil
+	if c.Cycles >= maxCycles {
+		return ErrCycleBudget
+	}
+	return c.exec(maxCycles, false)
 }
 
 // Step executes one instruction.
-func (c *CPU) Step() error {
-	pc := c.R[15]
-	instr, err := c.Mem.fetch16(pc)
-	if err != nil {
-		return err
-	}
-	c.Mem.Stats.ProgramReads++
-	c.R[15] = pc + 2
-	c.Instructions++
+func (c *CPU) Step() error { return c.exec(0, true) }
 
-	switch {
-	case instr>>13 == 0b000 && instr>>11 != 0b00011: // shift by immediate
-		c.execShiftImm(instr)
-		c.Cycles++
-	case instr>>11 == 0b00011: // add/sub register or imm3
-		c.execAddSub(instr)
-		c.Cycles++
-	case instr>>13 == 0b001: // mov/cmp/add/sub imm8
-		c.execImm8(instr)
-		c.Cycles++
-	case instr>>10 == 0b010000: // ALU register
-		c.execALU(instr)
-		c.Cycles++
-	case instr>>10 == 0b010001: // hi-reg add/cmp/mov/bx
-		return c.execHiReg(instr)
-	case instr>>11 == 0b01001: // LDR literal
-		base := (pc + 4) &^ 3
-		addr := base + uint32(instr&0xFF)*4
-		v, err := c.Mem.Read32(addr)
-		if err != nil {
-			return err
-		}
-		c.R[instr>>8&7] = v
-		c.Cycles += 2
-	case instr>>12 == 0b0101: // load/store register offset
-		return c.execMemReg(instr)
-	case instr>>13 == 0b011 || instr>>12 == 0b1000: // load/store immediate
-		return c.execMemImm(instr)
-	case instr>>12 == 0b1001: // SP-relative load/store
-		return c.execMemSP(instr)
-	case instr>>12 == 0b1010: // ADR / ADD rd, sp
-		rd := instr >> 8 & 7
-		if instr&0x0800 == 0 {
-			c.R[rd] = ((pc + 4) &^ 3) + uint32(instr&0xFF)*4
+// exec is the simulator loop behind Run and Step: it executes one
+// instruction, then, unless once is set, continues until BKPT or the
+// cycle budget. A PC inside the loaded image runs its predecoded op; any
+// other PC fetches and decodes its halfword first.
+func (c *CPU) exec(maxCycles uint64, once bool) error {
+	mem := c.Mem
+	for {
+		pc := c.R[15]
+		var in *op
+		if i := (pc - ProgramBase) / 2; pc%2 == 0 && i < uint32(len(mem.decoded)) {
+			in = &mem.decoded[i]
 		} else {
-			c.R[rd] = c.R[13] + uint32(instr&0xFF)*4
+			instr, err := mem.fetch16(pc)
+			if err != nil {
+				return err
+			}
+			d := decode(instr)
+			in = &d
 		}
-		c.Cycles++
-	case instr>>12 == 0b1011: // misc
-		return c.execMisc(instr)
-	case instr>>12 == 0b1100: // LDMIA/STMIA
-		return c.execMultiple(instr)
-	case instr>>12 == 0b1101: // conditional branch
-		cond := instr >> 8 & 0xF
-		if cond == 0xF {
-			return fmt.Errorf("thumb: SVC unsupported at %#x", pc)
-		}
-		if c.condition(uint8(cond)) {
-			off := int32(int8(instr&0xFF)) * 2
-			c.R[15] = uint32(int32(pc+4) + off)
-			c.Cycles += 3
-		} else {
+		mem.Stats.ProgramReads++
+		c.R[15] = pc + 2
+		c.Instructions++
+
+		switch in.kind {
+		case opLSLImm: // imm 0 is MOVS, C unchanged
+			rm := c.R[in.rm]
+			res := rm
+			if in.imm > 0 {
+				c.C = rm&(1<<(32-in.imm)) != 0
+				res = rm << in.imm
+			}
+			c.R[in.rd] = res
+			c.setNZ(res)
 			c.Cycles++
+		case opLSRImm: // imm 0 means 32
+			rm := c.R[in.rm]
+			var res uint32
+			if in.imm == 0 {
+				c.C = rm&0x80000000 != 0
+			} else {
+				c.C = rm&(1<<(in.imm-1)) != 0
+				res = rm >> in.imm
+			}
+			c.R[in.rd] = res
+			c.setNZ(res)
+			c.Cycles++
+		case opASRImm: // imm 0 means 32
+			rm := c.R[in.rm]
+			var res uint32
+			if in.imm == 0 {
+				c.C = rm&0x80000000 != 0
+				res = uint32(int32(rm) >> 31)
+			} else {
+				c.C = rm&(1<<(in.imm-1)) != 0
+				res = uint32(int32(rm) >> in.imm)
+			}
+			c.R[in.rd] = res
+			c.setNZ(res)
+			c.Cycles++
+		case opADDReg:
+			c.R[in.rd] = c.addFlags(c.R[in.rn], c.R[in.rm], false)
+			c.Cycles++
+		case opSUBReg:
+			c.R[in.rd] = c.addFlags(c.R[in.rn], ^c.R[in.rm], true)
+			c.Cycles++
+		case opADDImm:
+			c.R[in.rd] = c.addFlags(c.R[in.rn], in.imm, false)
+			c.Cycles++
+		case opSUBImm:
+			c.R[in.rd] = c.addFlags(c.R[in.rn], ^in.imm, true)
+			c.Cycles++
+		case opMOVImm:
+			c.R[in.rd] = in.imm
+			c.setNZ(in.imm)
+			c.Cycles++
+		case opCMPImm:
+			c.addFlags(c.R[in.rd], ^in.imm, true)
+			c.Cycles++
+
+		case opAND:
+			c.setLogic(in.rd, c.R[in.rd]&c.R[in.rm])
+		case opEOR:
+			c.setLogic(in.rd, c.R[in.rd]^c.R[in.rm])
+		case opLSLReg:
+			rdv, sh := c.R[in.rd], c.R[in.rm]&0xFF
+			res := rdv
+			if sh > 0 {
+				if sh < 32 {
+					c.C = rdv&(1<<(32-sh)) != 0
+					res = rdv << sh
+				} else if sh == 32 {
+					c.C = rdv&1 != 0
+					res = 0
+				} else {
+					c.C = false
+					res = 0
+				}
+			}
+			c.setLogic(in.rd, res)
+		case opLSRReg:
+			rdv, sh := c.R[in.rd], c.R[in.rm]&0xFF
+			res := rdv
+			if sh > 0 {
+				if sh < 32 {
+					c.C = rdv&(1<<(sh-1)) != 0
+					res = rdv >> sh
+				} else if sh == 32 {
+					c.C = rdv&0x80000000 != 0
+					res = 0
+				} else {
+					c.C = false
+					res = 0
+				}
+			}
+			c.setLogic(in.rd, res)
+		case opASRReg:
+			rdv, sh := c.R[in.rd], c.R[in.rm]&0xFF
+			res := rdv
+			if sh > 0 {
+				if sh < 32 {
+					c.C = rdv&(1<<(sh-1)) != 0
+					res = uint32(int32(rdv) >> sh)
+				} else {
+					c.C = rdv&0x80000000 != 0
+					res = uint32(int32(rdv) >> 31)
+				}
+			}
+			c.setLogic(in.rd, res)
+		case opADC:
+			c.R[in.rd] = c.addFlags(c.R[in.rd], c.R[in.rm], c.C)
+			c.Cycles++
+		case opSBC:
+			c.R[in.rd] = c.addFlags(c.R[in.rd], ^c.R[in.rm], c.C)
+			c.Cycles++
+		case opROR:
+			rdv, sh := c.R[in.rd], c.R[in.rm]&0xFF
+			res := rdv
+			if sh > 0 {
+				sh &= 31
+				if sh == 0 {
+					c.C = rdv&0x80000000 != 0
+				} else {
+					res = rdv>>sh | rdv<<(32-sh)
+					c.C = res&0x80000000 != 0
+				}
+			}
+			c.setLogic(in.rd, res)
+		case opTST:
+			c.setNZ(c.R[in.rd] & c.R[in.rm])
+			c.Cycles++
+		case opNEG:
+			c.R[in.rd] = c.addFlags(^c.R[in.rm], 0, true)
+			c.Cycles++
+		case opCMPReg:
+			c.addFlags(c.R[in.rd], ^c.R[in.rm], true)
+			c.Cycles++
+		case opCMN:
+			c.addFlags(c.R[in.rd], c.R[in.rm], false)
+			c.Cycles++
+		case opORR:
+			c.setLogic(in.rd, c.R[in.rd]|c.R[in.rm])
+		case opMUL: // single-cycle multiplier configuration
+			c.setLogic(in.rd, c.R[in.rd]*c.R[in.rm])
+		case opBIC:
+			c.setLogic(in.rd, c.R[in.rd]&^c.R[in.rm])
+		case opMVN:
+			c.setLogic(in.rd, ^c.R[in.rm])
+
+		case opADDHi: // no flags
+			c.R[in.rd] = c.hiReg(in.rd) + c.hiReg(in.rm)
+			c.hiRegWritten(in.rd)
+		case opCMPHi:
+			c.addFlags(c.hiReg(in.rd), ^c.hiReg(in.rm), true)
+			c.Cycles++
+		case opMOVHi: // no flags
+			c.R[in.rd] = c.hiReg(in.rm)
+			c.hiRegWritten(in.rd)
+		case opBX:
+			c.R[15] = c.R[in.rm] &^ 1
+			c.Cycles += 3
+		case opBLX:
+			target := c.R[in.rm]
+			c.R[14] = c.R[15] | 1
+			c.R[15] = target &^ 1
+			c.Cycles += 3
+
+		case opLDRLit:
+			v, err := mem.Read32((pc+4)&^3 + in.imm)
+			if err != nil {
+				return err
+			}
+			c.R[in.rd] = v
+			c.Cycles += 2
+
+		case opSTRReg:
+			c.Cycles += 2
+			if err := mem.Write32(c.R[in.rn]+c.R[in.rm], c.R[in.rd]); err != nil {
+				return err
+			}
+		case opSTRHReg:
+			c.Cycles += 2
+			if err := mem.Write16(c.R[in.rn]+c.R[in.rm], uint16(c.R[in.rd])); err != nil {
+				return err
+			}
+		case opSTRBReg:
+			c.Cycles += 2
+			if err := mem.Write8(c.R[in.rn]+c.R[in.rm], byte(c.R[in.rd])); err != nil {
+				return err
+			}
+		case opLDRSBReg:
+			c.Cycles += 2
+			v, err := mem.Read8(c.R[in.rn] + c.R[in.rm])
+			if err != nil {
+				return err
+			}
+			c.R[in.rd] = uint32(int32(int8(v)))
+		case opLDRReg:
+			c.Cycles += 2
+			v, err := mem.Read32(c.R[in.rn] + c.R[in.rm])
+			if err != nil {
+				return err
+			}
+			c.R[in.rd] = v
+		case opLDRHReg:
+			c.Cycles += 2
+			v, err := mem.Read16(c.R[in.rn] + c.R[in.rm])
+			if err != nil {
+				return err
+			}
+			c.R[in.rd] = uint32(v)
+		case opLDRBReg:
+			c.Cycles += 2
+			v, err := mem.Read8(c.R[in.rn] + c.R[in.rm])
+			if err != nil {
+				return err
+			}
+			c.R[in.rd] = uint32(v)
+		case opLDRSHReg:
+			c.Cycles += 2
+			v, err := mem.Read16(c.R[in.rn] + c.R[in.rm])
+			if err != nil {
+				return err
+			}
+			c.R[in.rd] = uint32(int32(int16(v)))
+
+		case opSTRImm:
+			c.Cycles += 2
+			if err := mem.Write32(c.R[in.rn]+in.imm, c.R[in.rd]); err != nil {
+				return err
+			}
+		case opLDRImm:
+			c.Cycles += 2
+			v, err := mem.Read32(c.R[in.rn] + in.imm)
+			if err != nil {
+				return err
+			}
+			c.R[in.rd] = v
+		case opSTRBImm:
+			c.Cycles += 2
+			if err := mem.Write8(c.R[in.rn]+in.imm, byte(c.R[in.rd])); err != nil {
+				return err
+			}
+		case opLDRBImm:
+			c.Cycles += 2
+			v, err := mem.Read8(c.R[in.rn] + in.imm)
+			if err != nil {
+				return err
+			}
+			c.R[in.rd] = uint32(v)
+		case opSTRHImm:
+			c.Cycles += 2
+			if err := mem.Write16(c.R[in.rn]+in.imm, uint16(c.R[in.rd])); err != nil {
+				return err
+			}
+		case opLDRHImm:
+			c.Cycles += 2
+			v, err := mem.Read16(c.R[in.rn] + in.imm)
+			if err != nil {
+				return err
+			}
+			c.R[in.rd] = uint32(v)
+
+		case opSTRSP:
+			c.Cycles += 2
+			if err := mem.Write32(c.R[13]+in.imm, c.R[in.rd]); err != nil {
+				return err
+			}
+		case opLDRSP:
+			c.Cycles += 2
+			v, err := mem.Read32(c.R[13] + in.imm)
+			if err != nil {
+				return err
+			}
+			c.R[in.rd] = v
+
+		case opADR:
+			c.R[in.rd] = (pc+4)&^3 + in.imm
+			c.Cycles++
+		case opADDRdSP:
+			c.R[in.rd] = c.R[13] + in.imm
+			c.Cycles++
+		case opADDSP:
+			c.R[13] += in.imm
+			c.Cycles++
+		case opSUBSP:
+			c.R[13] -= in.imm
+			c.Cycles++
+		case opPUSH:
+			if err := c.push(uint16(in.imm)); err != nil {
+				return err
+			}
+		case opPOP:
+			if err := c.pop(uint16(in.imm)); err != nil {
+				return err
+			}
+		case opBKPT:
+			c.Halted = true
+			c.HaltCode = uint8(in.imm)
+			c.Cycles++
+		case opNOP:
+			c.Cycles++
+
+		case opSXTH:
+			c.R[in.rd] = uint32(int32(int16(c.R[in.rm])))
+			c.Cycles++
+		case opSXTB:
+			c.R[in.rd] = uint32(int32(int8(c.R[in.rm])))
+			c.Cycles++
+		case opUXTH:
+			c.R[in.rd] = c.R[in.rm] & 0xFFFF
+			c.Cycles++
+		case opUXTB:
+			c.R[in.rd] = c.R[in.rm] & 0xFF
+			c.Cycles++
+		case opREV:
+			rm := c.R[in.rm]
+			c.R[in.rd] = rm<<24 | rm>>8&0xFF00 | rm<<8&0xFF0000 | rm>>24
+			c.Cycles++
+		case opREV16:
+			rm := c.R[in.rm]
+			c.R[in.rd] = rm<<8&0xFF00FF00 | rm>>8&0x00FF00FF
+			c.Cycles++
+		case opREVSH:
+			rm := c.R[in.rm]
+			h := rm<<8&0xFF00 | rm>>8&0xFF
+			c.R[in.rd] = uint32(int32(int16(h)))
+			c.Cycles++
+
+		case opSTM, opLDM:
+			if err := c.transferMultiple(in.rn, uint16(in.imm), in.kind == opLDM); err != nil {
+				return err
+			}
+
+		case opBCond:
+			if c.condition(in.rd) {
+				c.R[15] = pc + 4 + in.imm
+				c.Cycles += 3
+			} else {
+				c.Cycles++
+			}
+		case opB:
+			c.R[15] = pc + 4 + in.imm
+			c.Cycles += 3
+		case opBL:
+			lo, err := mem.fetch16(pc + 2)
+			if err != nil {
+				return err
+			}
+			if lo>>11 != 0b11111 {
+				return fmt.Errorf("thumb: broken BL pair at %#x", pc)
+			}
+			mem.Stats.ProgramReads++
+			c.R[14] = (pc + 4) | 1
+			c.R[15] = pc + 4 + (in.imm | uint32(lo&0x7FF)<<1)
+			c.Cycles += 4
+
+		case opSVC:
+			return fmt.Errorf("thumb: SVC unsupported at %#x", pc)
+		case opEmptyList:
+			return fmt.Errorf("thumb: empty register list in LDM/STM %#04x", in.instr)
+		case opUndefinedMisc:
+			return fmt.Errorf("thumb: undefined misc instruction %#04x", in.instr)
+		default:
+			return fmt.Errorf("thumb: undefined instruction %#04x at %#x", in.instr, pc)
 		}
-	case instr>>11 == 0b11100: // unconditional branch
-		off := int32(instr&0x7FF) << 21 >> 21 * 2
-		c.R[15] = uint32(int32(pc+4) + off)
-		c.Cycles += 3
-	case instr>>11 == 0b11110: // BL prefix
-		lo, err := c.Mem.fetch16(pc + 2)
-		if err != nil {
-			return err
+		if once || c.Halted {
+			return nil
 		}
-		if lo>>11 != 0b11111 {
-			return fmt.Errorf("thumb: broken BL pair at %#x", pc)
+		if c.Cycles >= maxCycles {
+			return ErrCycleBudget
 		}
-		c.Mem.Stats.ProgramReads++
-		hi := int32(instr&0x7FF) << 21 >> 21 // sign-extended
-		off := hi<<12 | int32(lo&0x7FF)<<1
-		c.R[14] = (pc + 4) | 1
-		c.R[15] = uint32(int32(pc+4) + off)
-		c.Cycles += 4
-	default:
-		return fmt.Errorf("thumb: undefined instruction %#04x at %#x", instr, pc)
 	}
-	return nil
 }
 
 // setNZ updates the N and Z flags from a result.
@@ -145,447 +452,103 @@ func (c *CPU) setNZ(v uint32) {
 	c.Z = v == 0
 }
 
-// addWithCarry is the ARM ADC primitive, returning result and flags.
-func addWithCarry(a, b uint32, carry bool) (r uint32, cOut, vOut bool) {
-	ci := uint64(0)
+// setLogic completes a single-cycle register ALU operation that writes rd
+// and sets N and Z.
+func (c *CPU) setLogic(rd uint8, res uint32) {
+	c.R[rd] = res
+	c.setNZ(res)
+	c.Cycles++
+}
+
+// addFlags is the ARM AddWithCarry primitive: it returns a + b + carry
+// and sets all four flags from the result.
+func (c *CPU) addFlags(a, b uint32, carry bool) uint32 {
+	sum := uint64(a) + uint64(b)
 	if carry {
-		ci = 1
+		sum++
 	}
-	sum := uint64(a) + uint64(b) + ci
-	r = uint32(sum)
-	cOut = sum > 0xFFFFFFFF
-	vOut = (a^r)&(b^r)&0x80000000 != 0
-	return r, cOut, vOut
+	r := uint32(sum)
+	c.setNZ(r)
+	c.C = sum > 0xFFFFFFFF
+	c.V = (a^r)&(b^r)&0x80000000 != 0
+	return r
 }
 
-func (c *CPU) execShiftImm(instr uint16) {
-	op := instr >> 11 & 3
-	imm := uint32(instr >> 6 & 31)
-	rm := c.R[instr>>3&7]
-	rd := instr & 7
-	var res uint32
-	switch op {
-	case 0: // LSL (imm 0 = MOVS, C unchanged)
-		res = rm
-		if imm > 0 {
-			c.C = rm&(1<<(32-imm)) != 0
-			res = rm << imm
-		}
-	case 1: // LSR (imm 0 means 32)
-		if imm == 0 {
-			c.C = rm&0x80000000 != 0
-			res = 0
-		} else {
-			c.C = rm&(1<<(imm-1)) != 0
-			res = rm >> imm
-		}
-	case 2: // ASR (imm 0 means 32)
-		if imm == 0 {
-			c.C = rm&0x80000000 != 0
-			res = uint32(int32(rm) >> 31)
-		} else {
-			c.C = rm&(1<<(imm-1)) != 0
-			res = uint32(int32(rm) >> imm)
-		}
+// hiReg reads a register operand of a high-register instruction: PC reads
+// as the instruction's address + 4, and R[15] already holds address + 2.
+func (c *CPU) hiReg(r uint8) uint32 {
+	if r == 15 {
+		return c.R[15] + 2
 	}
-	c.R[rd] = res
-	c.setNZ(res)
+	return c.R[r]
 }
 
-func (c *CPU) execAddSub(instr uint16) {
-	rn := c.R[instr>>3&7]
-	rd := instr & 7
-	var operand uint32
-	if instr&0x0400 == 0 {
-		operand = c.R[instr>>6&7]
-	} else {
-		operand = uint32(instr >> 6 & 7)
-	}
-	var res uint32
-	if instr&0x0200 == 0 { // ADD
-		res, c.C, c.V = addWithCarry(rn, operand, false)
-	} else { // SUB
-		res, c.C, c.V = addWithCarry(rn, ^operand, true)
-	}
-	c.R[rd] = res
-	c.setNZ(res)
-}
-
-func (c *CPU) execImm8(instr uint16) {
-	op := instr >> 11 & 3
-	rd := instr >> 8 & 7
-	imm := uint32(instr & 0xFF)
-	switch op {
-	case 0: // MOVS
-		c.R[rd] = imm
-		c.setNZ(imm)
-	case 1: // CMP
-		res, cf, vf := addWithCarry(c.R[rd], ^imm, true)
-		c.setNZ(res)
-		c.C, c.V = cf, vf
-	case 2: // ADDS
-		res, cf, vf := addWithCarry(c.R[rd], imm, false)
-		c.R[rd] = res
-		c.setNZ(res)
-		c.C, c.V = cf, vf
-	case 3: // SUBS
-		res, cf, vf := addWithCarry(c.R[rd], ^imm, true)
-		c.R[rd] = res
-		c.setNZ(res)
-		c.C, c.V = cf, vf
-	}
-}
-
-func (c *CPU) execALU(instr uint16) {
-	op := instr >> 6 & 0xF
-	rd := instr & 7
-	rm := c.R[instr>>3&7]
-	rdv := c.R[rd]
-	store := true
-	var res uint32
-	switch op {
-	case 0x0:
-		res = rdv & rm
-	case 0x1:
-		res = rdv ^ rm
-	case 0x2: // LSL reg
-		sh := rm & 0xFF
-		res = rdv
-		if sh > 0 {
-			if sh < 32 {
-				c.C = rdv&(1<<(32-sh)) != 0
-				res = rdv << sh
-			} else if sh == 32 {
-				c.C = rdv&1 != 0
-				res = 0
-			} else {
-				c.C = false
-				res = 0
-			}
-		}
-	case 0x3: // LSR reg
-		sh := rm & 0xFF
-		res = rdv
-		if sh > 0 {
-			if sh < 32 {
-				c.C = rdv&(1<<(sh-1)) != 0
-				res = rdv >> sh
-			} else if sh == 32 {
-				c.C = rdv&0x80000000 != 0
-				res = 0
-			} else {
-				c.C = false
-				res = 0
-			}
-		}
-	case 0x4: // ASR reg
-		sh := rm & 0xFF
-		res = rdv
-		if sh > 0 {
-			if sh < 32 {
-				c.C = rdv&(1<<(sh-1)) != 0
-				res = uint32(int32(rdv) >> sh)
-			} else {
-				c.C = rdv&0x80000000 != 0
-				res = uint32(int32(rdv) >> 31)
-			}
-		}
-	case 0x5: // ADC
-		res, c.C, c.V = addWithCarry(rdv, rm, c.C)
-	case 0x6: // SBC
-		res, c.C, c.V = addWithCarry(rdv, ^rm, c.C)
-	case 0x7: // ROR
-		sh := rm & 0xFF
-		res = rdv
-		if sh > 0 {
-			sh &= 31
-			if sh == 0 {
-				c.C = rdv&0x80000000 != 0
-			} else {
-				res = rdv>>sh | rdv<<(32-sh)
-				c.C = res&0x80000000 != 0
-			}
-		}
-	case 0x8: // TST
-		res = rdv & rm
-		store = false
-	case 0x9: // RSB (NEG)
-		res, c.C, c.V = addWithCarry(^rm, 0, true)
-	case 0xA: // CMP
-		var cf, vf bool
-		res, cf, vf = addWithCarry(rdv, ^rm, true)
-		c.C, c.V = cf, vf
-		store = false
-	case 0xB: // CMN
-		var cf, vf bool
-		res, cf, vf = addWithCarry(rdv, rm, false)
-		c.C, c.V = cf, vf
-		store = false
-	case 0xC:
-		res = rdv | rm
-	case 0xD: // MUL (single-cycle multiplier configuration)
-		res = rdv * rm
-	case 0xE:
-		res = rdv &^ rm
-	case 0xF:
-		res = ^rm
-	}
-	if store {
-		c.R[rd] = res
-	}
-	c.setNZ(res)
-}
-
-func (c *CPU) execHiReg(instr uint16) error {
-	op := instr >> 8 & 3
-	rm := int(instr >> 3 & 0xF)
-	rd := int(instr&7 | instr>>4&8)
-	switch op {
-	case 0: // ADD (no flags)
-		c.R[rd] += c.R[rm]
-		if rd == 15 {
-			c.R[15] &^= 1
-			c.Cycles += 3
-		} else {
-			c.Cycles++
-		}
-	case 1: // CMP
-		res, cf, vf := addWithCarry(c.R[rd], ^c.R[rm], true)
-		c.setNZ(res)
-		c.C, c.V = cf, vf
-		c.Cycles++
-	case 2: // MOV (no flags)
-		v := c.R[rm]
-		if rm == 15 {
-			v += 2 // PC reads as instruction address + 4
-		}
-		c.R[rd] = v
-		if rd == 15 {
-			c.R[15] &^= 1
-			c.Cycles += 3
-		} else {
-			c.Cycles++
-		}
-	case 3: // BX / BLX
-		target := c.R[rm]
-		if instr&0x80 != 0 { // BLX
-			c.R[14] = c.R[15] | 1
-		}
-		c.R[15] = target &^ 1
+// hiRegWritten finishes a high-register ADD or MOV: a write to PC is a
+// branch (bit 0 cleared, pipeline refilled).
+func (c *CPU) hiRegWritten(rd uint8) {
+	if rd == 15 {
+		c.R[15] &^= 1
 		c.Cycles += 3
-	}
-	return nil
-}
-
-func (c *CPU) execMemReg(instr uint16) error {
-	op := instr >> 9 & 7
-	addr := c.R[instr>>3&7] + c.R[instr>>6&7]
-	rd := instr & 7
-	c.Cycles += 2
-	switch op {
-	case 0:
-		return c.Mem.Write32(addr, c.R[rd])
-	case 1:
-		return c.Mem.Write16(addr, uint16(c.R[rd]))
-	case 2:
-		return c.Mem.Write8(addr, byte(c.R[rd]))
-	case 3:
-		v, err := c.Mem.Read8(addr)
-		if err != nil {
-			return err
-		}
-		c.R[rd] = uint32(int32(int8(v)))
-	case 4:
-		v, err := c.Mem.Read32(addr)
-		if err != nil {
-			return err
-		}
-		c.R[rd] = v
-	case 5:
-		v, err := c.Mem.Read16(addr)
-		if err != nil {
-			return err
-		}
-		c.R[rd] = uint32(v)
-	case 6:
-		v, err := c.Mem.Read8(addr)
-		if err != nil {
-			return err
-		}
-		c.R[rd] = uint32(v)
-	case 7:
-		v, err := c.Mem.Read16(addr)
-		if err != nil {
-			return err
-		}
-		c.R[rd] = uint32(int32(int16(v)))
-	}
-	return nil
-}
-
-func (c *CPU) execMemImm(instr uint16) error {
-	rd := instr & 7
-	rn := c.R[instr>>3&7]
-	imm := uint32(instr >> 6 & 31)
-	c.Cycles += 2
-	switch {
-	case instr>>11 == 0b01100:
-		return c.Mem.Write32(rn+imm*4, c.R[rd])
-	case instr>>11 == 0b01101:
-		v, err := c.Mem.Read32(rn + imm*4)
-		if err != nil {
-			return err
-		}
-		c.R[rd] = v
-	case instr>>11 == 0b01110:
-		return c.Mem.Write8(rn+imm, byte(c.R[rd]))
-	case instr>>11 == 0b01111:
-		v, err := c.Mem.Read8(rn + imm)
-		if err != nil {
-			return err
-		}
-		c.R[rd] = uint32(v)
-	case instr>>11 == 0b10000:
-		return c.Mem.Write16(rn+imm*2, uint16(c.R[rd]))
-	case instr>>11 == 0b10001:
-		v, err := c.Mem.Read16(rn + imm*2)
-		if err != nil {
-			return err
-		}
-		c.R[rd] = uint32(v)
-	}
-	return nil
-}
-
-func (c *CPU) execMemSP(instr uint16) error {
-	rd := instr >> 8 & 7
-	addr := c.R[13] + uint32(instr&0xFF)*4
-	c.Cycles += 2
-	if instr&0x0800 == 0 {
-		return c.Mem.Write32(addr, c.R[rd])
-	}
-	v, err := c.Mem.Read32(addr)
-	if err != nil {
-		return err
-	}
-	c.R[rd] = v
-	return nil
-}
-
-func (c *CPU) execMisc(instr uint16) error {
-	switch {
-	case instr>>8 == 0b10110000: // ADD/SUB SP
-		imm := uint32(instr&0x7F) * 4
-		if instr&0x80 == 0 {
-			c.R[13] += imm
-		} else {
-			c.R[13] -= imm
-		}
+	} else {
 		c.Cycles++
-	case instr>>9 == 0b1011010: // PUSH
-		list := instr & 0xFF
-		lr := instr&0x100 != 0
-		n := popCount(list)
-		if lr {
-			n++
-		}
-		sp := c.R[13] - 4*uint32(n)
-		c.R[13] = sp
-		addr := sp
-		for r := 0; r < 8; r++ {
-			if list&(1<<r) != 0 {
-				if err := c.Mem.Write32(addr, c.R[r]); err != nil {
-					return err
-				}
-				addr += 4
-			}
-		}
-		if lr {
-			if err := c.Mem.Write32(addr, c.R[14]); err != nil {
+	}
+}
+
+// push stores the low registers in list, then LR if bit 8 is set, below SP.
+func (c *CPU) push(list uint16) error {
+	n := bits.OnesCount16(list)
+	sp := c.R[13] - 4*uint32(n)
+	c.R[13] = sp
+	addr := sp
+	for r := 0; r < 8; r++ {
+		if list&(1<<r) != 0 {
+			if err := c.Mem.Write32(addr, c.R[r]); err != nil {
 				return err
 			}
+			addr += 4
 		}
-		c.Cycles += 1 + uint64(n)
-	case instr>>9 == 0b1011110: // POP
-		list := instr & 0xFF
-		pc := instr&0x100 != 0
-		addr := c.R[13]
-		n := popCount(list)
-		for r := 0; r < 8; r++ {
-			if list&(1<<r) != 0 {
-				v, err := c.Mem.Read32(addr)
-				if err != nil {
-					return err
-				}
-				c.R[r] = v
-				addr += 4
-			}
+	}
+	if list&0x100 != 0 {
+		if err := c.Mem.Write32(addr, c.R[14]); err != nil {
+			return err
 		}
-		if pc {
+	}
+	c.Cycles += 1 + uint64(n)
+	return nil
+}
+
+// pop loads the low registers in list, then PC if bit 8 is set, from SP.
+func (c *CPU) pop(list uint16) error {
+	addr := c.R[13]
+	for r := 0; r < 8; r++ {
+		if list&(1<<r) != 0 {
 			v, err := c.Mem.Read32(addr)
 			if err != nil {
 				return err
 			}
-			c.R[15] = v &^ 1
+			c.R[r] = v
 			addr += 4
-			n++
-			c.Cycles += 4 + uint64(popCount(list))
-		} else {
-			c.Cycles += 1 + uint64(n)
 		}
-		c.R[13] = addr
-	case instr>>8 == 0b10111110: // BKPT
-		c.Halted = true
-		c.HaltCode = uint8(instr & 0xFF)
-		c.Cycles++
-	case instr == 0xBF00: // NOP
-		c.Cycles++
-	case instr>>8 == 0b10110010: // SXTH/SXTB/UXTH/UXTB
-		rm := c.R[instr>>3&7]
-		rd := instr & 7
-		switch instr >> 6 & 3 {
-		case 0:
-			c.R[rd] = uint32(int32(int16(rm)))
-		case 1:
-			c.R[rd] = uint32(int32(int8(rm)))
-		case 2:
-			c.R[rd] = rm & 0xFFFF
-		case 3:
-			c.R[rd] = rm & 0xFF
-		}
-		c.Cycles++
-	case instr>>8 == 0b10111010: // REV/REV16/REVSH
-		rm := c.R[instr>>3&7]
-		rd := instr & 7
-		switch instr >> 6 & 3 {
-		case 0: // REV
-			c.R[rd] = rm<<24 | rm>>8&0xFF00 | rm<<8&0xFF0000 | rm>>24
-		case 1: // REV16
-			c.R[rd] = rm<<8&0xFF00FF00 | rm>>8&0x00FF00FF
-		case 3: // REVSH
-			h := rm<<8&0xFF00 | rm>>8&0xFF
-			c.R[rd] = uint32(int32(int16(h)))
-		default:
-			return fmt.Errorf("thumb: undefined misc instruction %#04x", instr)
-		}
-		c.Cycles++
-	default:
-		return fmt.Errorf("thumb: undefined misc instruction %#04x", instr)
 	}
+	if list&0x100 != 0 {
+		v, err := c.Mem.Read32(addr)
+		if err != nil {
+			return err
+		}
+		c.R[15] = v &^ 1
+		addr += 4
+		c.Cycles += 4 + uint64(bits.OnesCount16(list&0xFF))
+	} else {
+		c.Cycles += 1 + uint64(bits.OnesCount16(list))
+	}
+	c.R[13] = addr
 	return nil
 }
 
-// execMultiple handles LDMIA/STMIA (load/store multiple, increment after).
-func (c *CPU) execMultiple(instr uint16) error {
-	rn := int(instr >> 8 & 7)
-	list := instr & 0xFF
-	if list == 0 {
-		return fmt.Errorf("thumb: empty register list in LDM/STM %#04x", instr)
-	}
+// transferMultiple handles LDMIA/STMIA (load/store multiple, increment
+// after) of a non-empty low-register list.
+func (c *CPU) transferMultiple(rn uint8, list uint16, load bool) error {
 	addr := c.R[rn]
-	load := instr&0x0800 != 0
-	n := popCount(list)
-	rnInList := list&(1<<rn) != 0
 	for r := 0; r < 8; r++ {
 		if list&(1<<r) == 0 {
 			continue
@@ -604,10 +567,10 @@ func (c *CPU) execMultiple(instr uint16) error {
 		addr += 4
 	}
 	// Writeback unless an LDM reloaded the base register.
-	if !(load && rnInList) {
+	if !(load && list&(1<<rn) != 0) {
 		c.R[rn] = addr
 	}
-	c.Cycles += 1 + uint64(n)
+	c.Cycles += 1 + uint64(bits.OnesCount16(list))
 	return nil
 }
 
@@ -645,13 +608,4 @@ func (c *CPU) condition(cond uint8) bool {
 	default:
 		return true
 	}
-}
-
-func popCount(v uint16) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
-	}
-	return n
 }

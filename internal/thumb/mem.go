@@ -1,6 +1,9 @@
 package thumb
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Memory map of the embedded system (Fig. 1a): a 64 kB program memory at
 // the code base and a 64 kB data memory in the SRAM region, each backed by
@@ -26,9 +29,13 @@ type AccessStats struct {
 
 // Memory is the two-macro memory system.
 type Memory struct {
-	prog  [ProgramSize]byte
-	data  [DataSize]byte
-	Stats AccessStats
+	prog [ProgramSize]byte
+	data [DataSize]byte
+	// decoded holds one op per halfword of the loaded program image.
+	// Program memory is read-only to the CPU (stores to it fault), so the
+	// table stays valid until the next LoadProgram.
+	decoded []op
+	Stats   AccessStats
 }
 
 // NewMemory returns a zeroed memory system.
@@ -41,6 +48,10 @@ func (m *Memory) LoadProgram(p *Program) error {
 		return fmt.Errorf("thumb: program of %d bytes exceeds %d", len(b), ProgramSize)
 	}
 	copy(m.prog[:], b)
+	m.decoded = make([]op, len(p.Halfwords))
+	for i, h := range p.Halfwords {
+		m.decoded[i] = decode(h)
+	}
 	return nil
 }
 
@@ -85,6 +96,10 @@ func (m *Memory) fetch16(addr uint32) (uint16, error) {
 
 // Read32 performs a data-side word load.
 func (m *Memory) Read32(addr uint32) (uint32, error) {
+	if off := addr - DataBase; off < DataSize && addr%4 == 0 {
+		m.Stats.DataReads++
+		return binary.LittleEndian.Uint32(m.data[off:]), nil
+	}
 	if addr%4 != 0 {
 		return 0, fmt.Errorf("thumb: misaligned word load at %#x", addr)
 	}
@@ -121,6 +136,11 @@ func (m *Memory) Read8(addr uint32) (byte, error) {
 
 // Write32 performs a word store.
 func (m *Memory) Write32(addr uint32, v uint32) error {
+	if off := addr - DataBase; off < DataSize && addr%4 == 0 {
+		m.Stats.DataWrites++
+		binary.LittleEndian.PutUint32(m.data[off:], v)
+		return nil
+	}
 	if addr%4 != 0 {
 		return fmt.Errorf("thumb: misaligned word store at %#x", addr)
 	}

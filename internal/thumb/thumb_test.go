@@ -453,3 +453,40 @@ func hex(v uint32) string {
 	}
 	return string(out)
 }
+
+// High-register ADD and CMP read PC as the instruction's address + 4, as
+// MOV does.
+func TestHiRegReadsPCPlus4(t *testing.T) {
+	cpu := run(t, `
+		movs r0, #0   ; 0x0
+		add r0, pc    ; 0x2: r0 = 0x2 + 4
+		bkpt #0
+	`)
+	if cpu.R[0] != 6 {
+		t.Errorf("add r0, pc at 0x2: r0 = %d, want 6", cpu.R[0])
+	}
+
+	cpu = run(t, `
+		movs r1, #2   ; 0x0
+		add pc, r1    ; 0x2: branch to 0x2 + 4 + 2
+		movs r0, #1   ; 0x4
+		bkpt #1       ; 0x6
+		movs r0, #2   ; 0x8
+		bkpt #2       ; 0xa
+	`)
+	if cpu.HaltCode != 2 || cpu.R[0] != 2 {
+		t.Errorf("add pc, r1 at 0x2 halted at bkpt #%d with r0 = %d, want bkpt #2, r0 = 2", cpu.HaltCode, cpu.R[0])
+	}
+	if cpu.Cycles != 6 { // movs 1 + add pc 3 + movs 1 + bkpt 1
+		t.Errorf("cycles = %d, want 6", cpu.Cycles)
+	}
+
+	cpu = run(t, `
+		movs r0, #6   ; 0x0
+		cmp r0, pc    ; 0x2: PC reads 0x6
+		bkpt #0
+	`)
+	if !cpu.Z || !cpu.C {
+		t.Errorf("cmp r0, pc at 0x2 with r0 = 6: Z=%v C=%v, want equal", cpu.Z, cpu.C)
+	}
+}
