@@ -123,17 +123,15 @@ func Table2(w embench.Workload, grid carbon.Grid) (*PPAtC, *PPAtC, string, error
 //
 // Both designs run the same workload, and the paper's Step 4 yields one
 // cycle count and access mix per workload, so the two evaluations share
-// a memo that lives for this call only: the M3D evaluation replays the
-// all-Si run's ISA simulation, and a trace shows one embench span. The
-// results equal two independent EvaluateContext calls; nothing is cached
-// across calls.
+// a memo that lives for this call only. The leaf stages, the one ISA
+// simulation and the two eDRAM builds, share no inputs, so they run
+// concurrently before either evaluation starts; both evaluations then
+// replay them from the memo. A trace shows one "leaves" span holding
+// one embench and two edram spans, then the two evaluate spans. The
+// results equal two independent EvaluateContext calls; nothing is
+// cached across calls.
 func Table2Context(ctx context.Context, w embench.Workload, grid carbon.Grid) (*PPAtC, *PPAtC, string, error) {
-	memo := NewMemo()
-	si, err := memo.EvaluateContext(ctx, AllSiSystem(), w, grid)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	m3d, err := memo.EvaluateContext(ctx, M3DSystem(), w, grid)
+	si, m3d, err := NewMemo().EvaluatePairContext(ctx, w, grid)
 	if err != nil {
 		return nil, nil, "", err
 	}

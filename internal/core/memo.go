@@ -38,8 +38,12 @@ import (
 //
 // A Memo is safe for concurrent use and unbounded: it grows by one entry
 // per distinct stage key and never evicts. That makes its lifetime the
-// caller's key domain. Table2Context gets a memo for one call, so its two
-// designs share one ISA simulation of the workload. A sweep, whose spec
+// caller's key domain. Table2Context and SuiteContext get a memo for one
+// call, so the two designs share one ISA simulation per workload. The
+// DAG's leaves, embench and edram, share no inputs, so a pair
+// evaluation (Table2Context, EvaluatePairContext, the suite) runs the
+// missing ones concurrently, one simulation and two eDRAM builds at
+// once, before either design's evaluation replays them. A sweep, whose spec
 // axes (clock, custom intensities) make keys unbounded, gets a memo for
 // one run. A memo may live for a whole process only when every caller
 // evaluates bundled designs at their own clock over a bounded key
@@ -59,6 +63,37 @@ func NewMemo() *Memo { return &Memo{} }
 // keyed inputs were already evaluated are replayed instead of re-run.
 func (m *Memo) EvaluateContext(ctx context.Context, sys SystemDesign, w embench.Workload, grid carbon.Grid) (*PPAtC, error) {
 	return evaluateWithMemo(ctx, m, sys, w, grid)
+}
+
+// EvaluatePairContext evaluates the two bundled designs, all-Si then
+// M3D, on one workload and grid through the memo. The leaf stages the
+// pair needs, the workload's ISA simulation and each design's eDRAM
+// build, share no inputs, so the ones still missing from the memo run
+// concurrently before either evaluation starts; a warm memo starts no
+// goroutine. The results equal two EvaluateContext calls on the memo. A
+// nil memo evaluates the pair one stage at a time, every stage run.
+func (m *Memo) EvaluatePairContext(ctx context.Context, w embench.Workload, grid carbon.Grid) (si, m3d *PPAtC, err error) {
+	return evaluatePair(ctx, m, AllSiSystem(), M3DSystem(), w, grid)
+}
+
+// evaluatePair is the one pair evaluation behind EvaluatePairContext
+// (and so Table2Context) and the suite: the leaf fan-out, then both
+// designs through evaluateWithMemo, where every leaf is a memo hit.
+// Callers build each design once and pass it in; rebuilding them here
+// would repeat their process-flow construction.
+func evaluatePair(ctx context.Context, m *Memo, si, m3d SystemDesign, w embench.Workload, grid carbon.Grid) (*PPAtC, *PPAtC, error) {
+	if err := fanOutLeaves(ctx, m, w, si, m3d); err != nil {
+		return nil, nil, err
+	}
+	a, err := evaluateWithMemo(ctx, m, si, w, grid)
+	if err != nil {
+		return nil, nil, err
+	}
+	b, err := evaluateWithMemo(ctx, m, m3d, w, grid)
+	if err != nil {
+		return nil, nil, err
+	}
+	return a, b, nil
 }
 
 // Memo stage indices, in Stages() order.
@@ -90,56 +125,82 @@ func (m *Memo) Stats() map[string]MemoStageStats {
 
 // memoEntry holds one stage evaluation. The mutex doubles as
 // single-flight: concurrent misses of the same key serialize, and all
-// but the first replay the winner's result.
+// but the first replay the winner's result. done is written under mu
+// but read without it, so memoHas never waits on a running stage.
 type memoEntry struct {
 	mu   sync.Mutex
-	done bool
+	done atomic.Bool
 	val  any
 	err  error
 }
 
+// memoHas reports whether (stage, key) already holds a result (or a
+// cached error).
+func memoHas(m *Memo, stage int, key string) bool {
+	v, ok := m.entries[stage].Load(key)
+	return ok && v.(*memoEntry).done.Load()
+}
+
 // memoDo returns the memoized value for (stage, key), running fn on the
-// first call. With a nil memo it degenerates to fn(). Context
-// cancellations are returned but never cached — a cancelled caller must
-// not poison the key for later evaluations.
+// first call and counting every later call as a replay (a hit). With a
+// nil memo it degenerates to fn(). Context cancellations are returned
+// but never cached — a cancelled caller must not poison the key for
+// later evaluations.
 func memoDo(m *Memo, stage int, key string, fn func() (any, error)) (any, error) {
+	val, hit, err := memoFill(m, stage, key, fn)
+	if hit {
+		m.hits[stage].Add(1)
+	}
+	return val, err
+}
+
+// memoFill is memoDo without the hit count: it reports whether the value
+// was already held instead of counting it as a replay. The leaf fan-out
+// fills the memo through it, so the stats read the same however many
+// fan-outs raced to fill a key: one miss per run, one hit per
+// evaluation that replays it.
+func memoFill(m *Memo, stage int, key string, fn func() (any, error)) (val any, hit bool, err error) {
 	if m == nil {
-		return fn()
+		val, err = fn()
+		return val, false, err
 	}
 	v, _ := m.entries[stage].LoadOrStore(key, &memoEntry{})
 	e := v.(*memoEntry)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.done {
-		m.hits[stage].Add(1)
-		return e.val, e.err
+	if e.done.Load() {
+		return e.val, true, e.err
 	}
-	val, err := fn()
+	val, err = fn()
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		return val, err
+		return val, false, err
 	}
-	e.val, e.err, e.done = val, err, true
+	e.val, e.err = val, err
+	e.done.Store(true)
 	m.misses[stage].Add(1)
-	return val, err
+	return val, false, err
 }
 
 // memoEmbench runs (or replays) Step 4: the ISA simulation. Key: the
 // workload name (the cycle budget is fixed).
 func memoEmbench(ctx context.Context, m *Memo, w embench.Workload) (embench.Result, error) {
-	v, err := memoDo(m, memoStageEmbench, w.Name, func() (any, error) {
-		_, sp := obs.StartSpan(ctx, StageEmbench)
-		run, err := embench.Run(w, 1<<34)
-		sp.End()
-		if err != nil {
-			return embench.Result{}, err
-		}
-		sp.SetFloat("cycles", float64(run.Cycles))
-		return run, nil
-	})
+	v, err := memoDo(m, memoStageEmbench, w.Name, func() (any, error) { return runEmbench(ctx, w) })
 	if err != nil {
 		return embench.Result{}, err
 	}
 	return v.(embench.Result), nil
+}
+
+// runEmbench is the embench stage itself, in its own span.
+func runEmbench(ctx context.Context, w embench.Workload) (any, error) {
+	_, sp := obs.StartSpan(ctx, StageEmbench)
+	run, err := embench.Run(w, 1<<34)
+	sp.End()
+	if err != nil {
+		return embench.Result{}, err
+	}
+	sp.SetFloat("cycles", float64(run.Cycles))
+	return run, nil
 }
 
 // memoEDRAM runs (or replays) Step 2: the eDRAM macro build. Key: the
@@ -148,20 +209,109 @@ func memoEmbench(ctx context.Context, m *Memo, w embench.Workload) (embench.Resu
 // returned Memory is shared between evaluations and must be treated as
 // read-only — which every consumer already does.
 func memoEDRAM(ctx context.Context, m *Memo, sys SystemDesign) (*edram.Memory, error) {
-	v, err := memoDo(m, memoStageEDRAM, sys.Name, func() (any, error) {
-		_, sp := obs.StartSpan(ctx, StageEDRAM)
-		mem, err := edram.Build(sys.Cell, sys.Array, sys.Periphery)
-		sp.End()
-		if err != nil {
-			return (*edram.Memory)(nil), err
-		}
-		sp.SetFloat("area_mm2", mem.Area.SquareMillimeters())
-		return mem, nil
-	})
+	v, err := memoDo(m, memoStageEDRAM, sys.Name, func() (any, error) { return buildEDRAM(ctx, sys) })
 	if err != nil {
 		return nil, err
 	}
 	return v.(*edram.Memory), nil
+}
+
+// buildEDRAM is the edram stage itself, in its own span.
+func buildEDRAM(ctx context.Context, sys SystemDesign) (any, error) {
+	_, sp := obs.StartSpan(ctx, StageEDRAM)
+	mem, err := edram.Build(sys.Cell, sys.Array, sys.Periphery)
+	sp.End()
+	if err != nil {
+		return (*edram.Memory)(nil), err
+	}
+	sp.SetFloat("area_mm2", mem.Area.SquareMillimeters())
+	return mem, nil
+}
+
+// fanOutLeaves runs the leaf stages of a pair evaluation concurrently:
+// the ISA simulation of w and the eDRAM builds of both designs. They
+// share no inputs (embench ← workload, edram ← design), so they can
+// overlap, and the two evaluations that follow replay all three from
+// the memo. Each leaf still missing from the memo runs once; a leaf the
+// memo already holds starts nothing, so a warm memo returns at once
+// without allocating. A nil memo has nowhere to keep results, so
+// nothing runs.
+//
+// A leaf's error stays in the memo (memoFill caches it) for the
+// evaluations to replay in their own order, so a failing design reports
+// exactly the error a sequential evaluation would. fanOutLeaves itself
+// returns only ctx's error, checked before the first leaf starts and
+// after the last one ends.
+func fanOutLeaves(ctx context.Context, m *Memo, w embench.Workload, si, m3d SystemDesign) error {
+	if m == nil {
+		return nil
+	}
+	missing := [numLeaves]bool{
+		!memoHas(m, memoStageEmbench, w.Name),
+		!memoHas(m, memoStageEDRAM, si.Name),
+		!memoHas(m, memoStageEDRAM, m3d.Name),
+	}
+	if missing == [numLeaves]bool{} {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	runLeaves(ctx, m, w, si, m3d, missing)
+	return ctx.Err()
+}
+
+// numLeaves counts a pair evaluation's leaf stages: one ISA simulation
+// and two eDRAM builds.
+const numLeaves = 3
+
+// runLeaves runs the missing leaves under one "leaves" span: all but
+// the last on goroutines of their own, the last on the caller's. It
+// returns after every leaf has finished. It is split from fanOutLeaves
+// so that the warm path never pays for the closures and the heap copies
+// of the designs that the goroutines need.
+func runLeaves(ctx context.Context, m *Memo, w embench.Workload, si, m3d SystemDesign, missing [numLeaves]bool) {
+	ctx, span := obs.StartSpan(ctx, "leaves")
+	defer span.End()
+	// A leaf that gets its turn after ctx is done (say, one that waited
+	// on another caller's run of the same key) does not start its stage;
+	// memoFill caches no cancellation.
+	fill := func(stage int, key string, run func() (any, error)) {
+		_, _, _ = memoFill(m, stage, key, func() (any, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			return run()
+		})
+	}
+	leaf := func(i int) {
+		switch i {
+		case 0:
+			fill(memoStageEmbench, w.Name, func() (any, error) { return runEmbench(ctx, w) })
+		case 1:
+			fill(memoStageEDRAM, si.Name, func() (any, error) { return buildEDRAM(ctx, si) })
+		default:
+			fill(memoStageEDRAM, m3d.Name, func() (any, error) { return buildEDRAM(ctx, m3d) })
+		}
+	}
+	last := 0
+	for i, miss := range missing {
+		if miss {
+			last = i
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range last {
+		if missing[i] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				leaf(i)
+			}()
+		}
+	}
+	leaf(last)
+	wg.Wait()
 }
 
 // memoSynth runs (or replays) Step 3: core synthesis and timing

@@ -1,13 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"ppatc/internal/carbon"
 	"ppatc/internal/embench"
 	"ppatc/internal/obs"
+	"ppatc/internal/tcdp"
 	"ppatc/internal/units"
 )
 
@@ -96,10 +103,25 @@ func TestMemoDoesNotCacheCancellation(t *testing.T) {
 	}
 }
 
-// TestTable2SharesOneSimulation pins Table2Context's per-call memo: its
-// results equal two independent evaluations, provenance included, while
-// a trace records a single ISA simulation that the M3D evaluation
-// replays.
+// spanCounts counts the spans of a trace forest by name.
+func spanCounts(nodes []obs.SpanNode) map[string]int {
+	out := map[string]int{}
+	var walk func([]obs.SpanNode)
+	walk = func(nodes []obs.SpanNode) {
+		for _, n := range nodes {
+			out[n.Name]++
+			walk(n.Children)
+		}
+	}
+	walk(nodes)
+	return out
+}
+
+// TestTable2SharesOneSimulation pins Table2Context's per-call memo and
+// its leaf fan-out: the results equal two independent evaluations,
+// provenance included, at any GOMAXPROCS (CI runs it at -cpu 1,2),
+// while a trace records a single ISA simulation and both eDRAM builds
+// under one "leaves" span, which the two evaluations then replay.
 func TestTable2SharesOneSimulation(t *testing.T) {
 	w, err := embench.ByName("crc32")
 	if err != nil {
@@ -124,17 +146,194 @@ func TestTable2SharesOneSimulation(t *testing.T) {
 		}
 	}
 
-	spans := map[string]int{}
-	var count func(nodes []obs.SpanNode)
-	count = func(nodes []obs.SpanNode) {
-		for _, n := range nodes {
-			spans[n.Name]++
-			count(n.Children)
-		}
-	}
-	count(tr.Tree())
+	tree := tr.Tree()
+	spans := spanCounts(tree)
 	if spans["evaluate"] != 2 || spans[StageEmbench] != 1 || spans[StageEDRAM] != 2 {
 		t.Errorf("traced Table2Context spans = %v, want 2 evaluate, 1 %s, 2 %s",
 			spans, StageEmbench, StageEDRAM)
+	}
+	var roots []string
+	for _, n := range tree {
+		roots = append(roots, n.Name)
+	}
+	if len(roots) != 3 || roots[0] != "leaves" || roots[1] != "evaluate" || roots[2] != "evaluate" {
+		t.Fatalf("trace roots = %v, want [leaves evaluate evaluate]", roots)
+	}
+	leaves := spanCounts(tree[0].Children)
+	if len(leaves) != 2 || leaves[StageEmbench] != 1 || leaves[StageEDRAM] != 2 {
+		t.Errorf("leaves span holds %v, want 1 %s and 2 %s", leaves, StageEmbench, StageEDRAM)
+	}
+}
+
+// TestPairFanOutCancellation pins the fan-out's cancellation contract:
+// a context cancelled before or during the fan-out returns its error,
+// the memo keeps no error and no leaf that had not started, a later
+// call on a live context succeeds, and no goroutine outlives the call.
+func TestPairFanOutCancellation(t *testing.T) {
+	w, err := embench.ByName("crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := carbon.GridUS
+	si, m3d := AllSiSystem(), M3DSystem()
+	start := runtime.NumGoroutine()
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, _, err := Table2Context(cancelled, w, grid); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled Table2Context: err = %v, want context.Canceled", err)
+	}
+	m := NewMemo()
+	if _, _, err := evaluatePair(cancelled, m, si, m3d, w, grid); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled pair: err = %v, want context.Canceled", err)
+	}
+	for stage, st := range m.Stats() {
+		if st != (MemoStageStats{}) {
+			t.Errorf("pre-cancelled pair touched the %s stage: %+v", stage, st)
+		}
+	}
+
+	// Mid-fan-out: another caller holds the simulation's memo entry, so
+	// the fan-out's embench leaf waits on it. The context is cancelled
+	// once the fan-out's span is open, then the entry is released
+	// unfilled: the waiting leaf must not start the simulation.
+	m = NewMemo()
+	v, _ := m.entries[memoStageEmbench].LoadOrStore(w.Name, &memoEntry{})
+	held := v.(*memoEntry)
+	held.mu.Lock()
+	tr := obs.NewTrace("")
+	ctx, cancel := context.WithCancel(obs.WithTrace(context.Background(), tr))
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := evaluatePair(ctx, m, si, m3d, w, grid)
+		errc <- err
+	}()
+	for spanCounts(tr.Tree())["leaves"] == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	held.mu.Unlock()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("pair cancelled mid-fan-out: err = %v, want context.Canceled", err)
+	}
+	if got := m.Stats()[StageEmbench].Misses; got != 0 {
+		t.Errorf("the simulation ran %d times after cancellation, want 0", got)
+	}
+	for stage := range m.entries {
+		m.entries[stage].Range(func(key, v any) bool {
+			if e := v.(*memoEntry); e.done.Load() && e.err != nil {
+				t.Errorf("memo cached an error for %s %v: %v", Stages()[stage], key, e.err)
+			}
+			return true
+		})
+	}
+
+	gotSi, gotM3D, err := evaluatePair(context.Background(), m, si, m3d, w, grid)
+	if err != nil {
+		t.Fatalf("pair on a live context after cancellation: %v", err)
+	}
+	for _, c := range []struct {
+		sys SystemDesign
+		got *PPAtC
+	}{{si, gotSi}, {m3d, gotM3D}} {
+		want, err := EvaluateContext(context.Background(), c.sys, w, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(c.got, want) {
+			t.Errorf("%s: pair result after cancellation differs from EvaluateContext", c.sys.Name)
+		}
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Errorf("%d goroutines after the fan-outs, %d before", n, start)
+	}
+}
+
+// TestPairWarmMemoAllocs guards the daemon's what-if path: on a warm
+// memo, EvaluatePairContext allocates no more than the two
+// EvaluateContext calls on freshly built designs that it replaced. A
+// fan-out that started a goroutine would allocate its closure and
+// WaitGroup, so this also pins that a warm memo starts none.
+func TestPairWarmMemoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	w, err := embench.ByName("crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, grid := context.Background(), carbon.GridUS
+	m := NewMemo()
+	if _, _, err := m.EvaluatePairContext(ctx, w, grid); err != nil {
+		t.Fatal(err)
+	}
+	pair := testing.AllocsPerRun(50, func() {
+		if _, _, err := m.EvaluatePairContext(ctx, w, grid); err != nil {
+			t.Fatal(err)
+		}
+	})
+	twoCalls := testing.AllocsPerRun(50, func() {
+		if _, err := m.EvaluateContext(ctx, AllSiSystem(), w, grid); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.EvaluateContext(ctx, M3DSystem(), w, grid); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if pair > twoCalls {
+		t.Errorf("warm pair evaluation allocates %.0f times, two EvaluateContext calls %.0f", pair, twoCalls)
+	}
+	t.Logf("warm pair: %.0f allocs; two EvaluateContext calls: %.0f", pair, twoCalls)
+}
+
+// TestSuiteMatchesIndependentEvaluations pins SuiteContext's per-call
+// memo and fan-out: every row equals the one built from independent
+// EvaluateContext calls, and the JSON encoding is byte-identical to the
+// committed `ppatc suite -json` output taken before the suite memoized.
+func TestSuiteMatchesIndependentEvaluations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("evaluates every workload three times")
+	}
+	grid := carbon.GridUS
+	rows, err := SuiteContext(context.Background(), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []SuiteRow
+	for _, w := range embench.Workloads() {
+		si, err := EvaluateContext(context.Background(), AllSiSystem(), w, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m3d, err := EvaluateContext(context.Background(), M3DSystem(), w, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, err := suiteRow(w, si, m3d, tcdp.PaperScenario())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, row)
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("SuiteContext rows differ from independent evaluations:\n got %+v\nwant %+v", rows, want)
+	}
+
+	var buf bytes.Buffer
+	if err := WriteSuiteJSON(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "suite_us.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Errorf("suite JSON differs from testdata/suite_us.json:\n%s", buf.Bytes())
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"ppatc/internal/carbon"
@@ -140,7 +141,12 @@ func TestEvaluateTraceSpans(t *testing.T) {
 }
 
 // TestSuiteTraceSpans asserts SuiteContext groups per-workload spans
-// under one "suite" root without interleaving.
+// under one "suite" root without interleaving. Each workload span holds
+// its pair evaluation: one "leaves" span, then the two evaluate spans.
+// The suite's memo runs each stage once per key, so across the trace
+// there is one embench span per workload and one edram, synth,
+// floorplan and carbon span per design, and the leaf stages appear only
+// under the leaves spans.
 func TestSuiteTraceSpans(t *testing.T) {
 	grid, err := carbon.GridByName("US")
 	if err != nil {
@@ -163,15 +169,24 @@ func TestSuiteTraceSpans(t *testing.T) {
 		if wl.Name != "workload" {
 			t.Fatalf("unexpected child span %q under suite", wl.Name)
 		}
-		// Each workload runs two designs → two evaluate spans, each with
-		// the full stage set nested beneath.
-		if len(wl.Children) != 2 {
-			t.Fatalf("workload span has %d evaluations, want 2", len(wl.Children))
+		var kids []string
+		for _, c := range wl.Children {
+			kids = append(kids, c.Name)
 		}
-		for _, ev := range wl.Children {
-			if ev.Name != "evaluate" || len(ev.Children) != len(Stages()) {
-				t.Fatalf("evaluation span %q has %d stages, want %d", ev.Name, len(ev.Children), len(Stages()))
+		if len(kids) != 3 || kids[0] != "leaves" || kids[1] != "evaluate" || kids[2] != "evaluate" {
+			t.Fatalf("workload span children = %v, want [leaves evaluate evaluate]", kids)
+		}
+		for _, ev := range wl.Children[1:] {
+			if n := spanCounts(ev.Children); n[StageEmbench]+n[StageEDRAM] != 0 {
+				t.Fatalf("evaluation span re-ran a leaf stage: %v", n)
 			}
 		}
+	}
+	want := map[string]int{
+		"suite": 1, "workload": len(rows), "leaves": len(rows), "evaluate": 2 * len(rows),
+		StageEmbench: len(rows), StageEDRAM: 2, StageSynth: 2, StageFloorplan: 2, StageCarbon: 2,
+	}
+	if got := spanCounts(tree); !reflect.DeepEqual(got, want) {
+		t.Errorf("suite span counts = %v, want %v", got, want)
 	}
 }

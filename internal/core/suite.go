@@ -39,24 +39,30 @@ func Suite(grid carbon.Grid) ([]SuiteRow, error) {
 	return SuiteContext(context.Background(), grid)
 }
 
-// SuiteContext is Suite with cancellation between workloads. When the
-// context carries an obs trace, each workload gets a span enclosing its
-// two evaluations, so the exported trace shows where the suite's
-// wall-clock went.
+// SuiteContext is Suite with cancellation between workloads. It
+// evaluates through a memo that lives for this call only, so the suite
+// runs one ISA simulation per workload and one eDRAM build, synthesis,
+// floorplan and carbon chain per design; each workload's leaf stages
+// run concurrently, as in Table2Context. The rows equal those built
+// from independent EvaluateContext calls. When the context carries an
+// obs trace, each workload gets a span enclosing its evaluations, so the
+// exported trace shows where the suite's wall-clock went.
 func SuiteContext(ctx context.Context, grid carbon.Grid) ([]SuiteRow, error) {
-	return suiteWithMemo(ctx, nil, grid)
+	return suiteWithMemo(ctx, NewMemo(), grid)
 }
 
 // SuiteContext is core.SuiteContext through the memo: every evaluation
-// replays the stages whose keyed inputs were already evaluated.
+// replays the stages whose keyed inputs were already evaluated. A nil
+// memo runs every stage of every evaluation.
 func (m *Memo) SuiteContext(ctx context.Context, grid carbon.Grid) ([]SuiteRow, error) {
 	return suiteWithMemo(ctx, m, grid)
 }
 
-// suiteWithMemo is the one suite loop behind both entry points; m == nil
-// runs every stage of every evaluation.
+// suiteWithMemo is the one suite loop behind both entry points: one pair
+// evaluation per workload, on designs built once per call.
 func suiteWithMemo(ctx context.Context, m *Memo, grid carbon.Grid) ([]SuiteRow, error) {
 	scenario := tcdp.PaperScenario()
+	siSys, m3dSys := AllSiSystem(), M3DSystem()
 	var rows []SuiteRow
 	sctx, suiteSpan := obs.StartSpan(ctx, "suite")
 	defer suiteSpan.End()
@@ -67,31 +73,35 @@ func suiteWithMemo(ctx context.Context, m *Memo, grid carbon.Grid) ([]SuiteRow, 
 		}
 		wctx, wSpan := obs.StartSpan(sctx, "workload")
 		wSpan.SetStr("name", w.Name)
-		si, err := evaluateWithMemo(wctx, m, AllSiSystem(), w, grid)
-		if err != nil {
-			wSpan.End()
-			return nil, fmt.Errorf("core: suite %s: %w", w.Name, err)
-		}
-		m3d, err := evaluateWithMemo(wctx, m, M3DSystem(), w, grid)
+		si, m3d, err := evaluatePair(wctx, m, siSys, m3dSys, w, grid)
 		wSpan.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: suite %s: %w", w.Name, err)
 		}
-		ratio, err := tcdp.Ratio(si.DesignPoint(), m3d.DesignPoint(), scenario, units.Months(24))
+		row, err := suiteRow(w, si, m3d, scenario)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, SuiteRow{
-			Workload:    w.Name,
-			Cycles:      si.Cycles,
-			SiMemPJ:     si.MemPerCycle.Picojoules(),
-			M3DMemPJ:    m3d.MemPerCycle.Picojoules(),
-			SiPowerMW:   si.OperationalPower.Milliwatts(),
-			M3DPowerMW:  m3d.OperationalPower.Milliwatts(),
-			TCDPRatio24: ratio,
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// suiteRow is one workload's suite row from its two evaluations.
+func suiteRow(w embench.Workload, si, m3d *PPAtC, scenario tcdp.Scenario) (SuiteRow, error) {
+	ratio, err := tcdp.Ratio(si.DesignPoint(), m3d.DesignPoint(), scenario, units.Months(24))
+	if err != nil {
+		return SuiteRow{}, err
+	}
+	return SuiteRow{
+		Workload:    w.Name,
+		Cycles:      si.Cycles,
+		SiMemPJ:     si.MemPerCycle.Picojoules(),
+		M3DMemPJ:    m3d.MemPerCycle.Picojoules(),
+		SiPowerMW:   si.OperationalPower.Milliwatts(),
+		M3DPowerMW:  m3d.OperationalPower.Milliwatts(),
+		TCDPRatio24: ratio,
+	}, nil
 }
 
 // FormatSuite renders the suite comparison table.

@@ -192,8 +192,15 @@ func TestStageMemoConcurrentWhatIfs(t *testing.T) {
 		if st.Misses != wantMisses[stage] {
 			t.Errorf("%s misses = %d, want %d", stage, st.Misses, wantMisses[stage])
 		}
-		// Each what-if evaluates both designs, calling every stage once each.
-		if st.Hits+st.Misses != 2*requests {
+		// Each what-if evaluates both designs, calling every stage once
+		// each. The leaf stages (embench, edram) run in the pair's
+		// fan-out before either evaluation, so both evaluations replay
+		// them: one hit per evaluation on top of the runs.
+		if stage == core.StageEmbench || stage == core.StageEDRAM {
+			if st.Hits != 2*requests {
+				t.Errorf("%s hits = %d, want %d", stage, st.Hits, 2*requests)
+			}
+		} else if st.Hits+st.Misses != 2*requests {
 			t.Errorf("%s calls = %d, want %d", stage, st.Hits+st.Misses, 2*requests)
 		}
 	}

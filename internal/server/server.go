@@ -832,13 +832,10 @@ func (s *Server) handleTCDP(w http.ResponseWriter, r *http.Request) {
 
 // computeTCDP evaluates both designs through memo and encodes the
 // lifetime what-if. Only the tcdp arithmetic depends on months and
-// opScales, so with a warm memo a novel lifetime costs no stage run.
+// opScales, so with a warm memo a novel lifetime costs no stage run; on
+// a cold one the pair evaluation runs its leaf stages concurrently.
 func computeTCDP(ctx context.Context, memo *core.Memo, buf *bytes.Buffer, wl embench.Workload, grid carbon.Grid, months float64, opScales []float64) (int64, error) {
-	si, err := memo.EvaluateContext(ctx, core.AllSiSystem(), wl, grid)
-	if err != nil {
-		return 0, err
-	}
-	m3d, err := memo.EvaluateContext(ctx, core.M3DSystem(), wl, grid)
+	si, m3d, err := memo.EvaluatePairContext(ctx, wl, grid)
 	if err != nil {
 		return 0, err
 	}
