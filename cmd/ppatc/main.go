@@ -19,7 +19,7 @@
 //	diecount die-per-wafer estimates for both designs
 //	wafermap ASCII wafer map (dies magnified)
 //	montecarlo sampled robustness of the tCDP verdict
-//	sweep    design-space sweep from a JSON spec (-spec, -p, -checkpoint, -no-memo)
+//	sweep    design-space sweep from a JSON spec (-spec, -p, -store-dir, -no-memo)
 //	report   everything, in order (-markdown for a markdown artifact)
 //
 // Observability flags: -trace <file> writes a Chrome trace-event file
@@ -64,7 +64,7 @@ func run(args []string) error {
 	provenance := fs.Bool("provenance", false, "for table2: print each stage's intermediate quantities after the table")
 	specPath := fs.String("spec", "", "for sweep: JSON sweep spec file ('-' reads stdin)")
 	parallel := fs.Int("p", 0, "for sweep: worker count (default GOMAXPROCS; any value gives identical results)")
-	checkpoint := fs.String("checkpoint", "", "for sweep: checkpoint file — interrupted sweeps resume from it")
+	storeDir := fs.String("store-dir", "", "for sweep: result-store directory — finished points persist there, and interrupted sweeps resume from it")
 	noMemo := fs.Bool("no-memo", false, "for sweep: disable stage memoization (identical output, slower)")
 	if len(args) == 0 {
 		fs.Usage()
@@ -252,7 +252,7 @@ func run(args []string) error {
 		}
 		fmt.Print(res.Format())
 	case "sweep":
-		return runSweep(ctx, *specPath, *parallel, *checkpoint, *noMemo)
+		return runSweep(ctx, *specPath, *parallel, *storeDir, *noMemo)
 	case "report":
 		if *markdown {
 			w, err := embench.ByName(*workload)

@@ -9,14 +9,16 @@ import (
 	"os/signal"
 
 	"ppatc/internal/dse"
+	"ppatc/internal/store"
 )
 
 // runSweep drives `ppatc sweep -spec spec.json`: expand the spec, stream
 // results to stdout as NDJSON while the worker pool runs, and print the
 // analyses (Pareto frontier, sensitivity, win probabilities) to stderr
-// so stdout stays machine-readable. With -checkpoint, completed points
-// persist across interrupts: Ctrl-C, re-run, and the sweep resumes.
-func runSweep(ctx context.Context, specPath string, workers int, ckptPath string, noMemo bool) error {
+// so stdout stays machine-readable. With -store-dir, completed points
+// persist to a segment store across interrupts: Ctrl-C, re-run, and the
+// sweep resumes — as does any later sweep sharing points with it.
+func runSweep(ctx context.Context, specPath string, workers int, storeDir string, noMemo bool) error {
 	if specPath == "" {
 		return errors.New("sweep needs -spec <file> (or -spec - for stdin)")
 	}
@@ -38,7 +40,7 @@ func runSweep(ctx context.Context, specPath string, workers int, ckptPath string
 		return err
 	}
 
-	// Ctrl-C cancels the run but leaves the checkpoint behind.
+	// Ctrl-C cancels the run but leaves the stored points behind.
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
 	defer stop()
 
@@ -56,26 +58,38 @@ func runSweep(ctx context.Context, specPath string, workers int, ckptPath string
 			return err
 		},
 	}
-	if ckptPath != "" {
-		cp, err := dse.OpenCheckpoint(ckptPath, plan)
+	var st *store.SegmentStore
+	if storeDir != "" {
+		st, err = store.OpenSegmentStore(storeDir, 0)
 		if err != nil {
 			return err
 		}
-		defer cp.Close()
-		if n := len(cp.Completed); n > 0 {
-			fmt.Fprintf(os.Stderr, "ppatc: resuming %s: %d/%d points from %s\n",
-				spec.Name, n, len(plan.Points), ckptPath)
+		defer st.Close() // error paths; the success path checks Close below
+		completed, skipped := dse.StoredCompleted(st, plan)
+		if skipped > 0 {
+			fmt.Fprintf(os.Stderr, "ppatc: %d stored points in %s unreadable; re-evaluating them\n", skipped, storeDir)
 		}
-		opts.Completed = cp.Completed
-		opts.OnComplete = cp.Record
+		if n := len(completed); n > 0 {
+			fmt.Fprintf(os.Stderr, "ppatc: resuming %s: %d/%d points from %s\n",
+				spec.Name, n, len(plan.Points), storeDir)
+		}
+		opts.Completed = completed
+		// A failed point write fails the run: the CLI's resume promise
+		// rests on every finished point being stored.
+		opts.OnComplete = func(r dse.Result) error { return dse.PersistPoint(st, plan, r) }
 	}
 
 	results, err := dse.RunPlan(ctx, plan, opts)
 	if err != nil {
-		if errors.Is(err, context.Canceled) && ckptPath != "" {
-			fmt.Fprintf(os.Stderr, "ppatc: sweep interrupted; re-run with -checkpoint %s to resume\n", ckptPath)
+		if errors.Is(err, context.Canceled) && storeDir != "" {
+			fmt.Fprintf(os.Stderr, "ppatc: sweep interrupted; re-run with -store-dir %s to resume\n", storeDir)
 		}
 		return err
+	}
+	if st != nil {
+		if err := st.Close(); err != nil {
+			return err
+		}
 	}
 	if err := out.Flush(); err != nil {
 		return err

@@ -30,16 +30,16 @@
 //	                    (?ring=recent|slow|all, ?n= newest n)
 //
 // Sweep jobs are keyed by the spec hash: POSTing the same spec twice
-// lands on the same job, and with -sweep-dir the daemon checkpoints
-// completed points so a restart resumes interrupted sweeps from disk.
+// lands on the same job.
 //
-// With -store-dir the daemon additionally persists every computed
-// result — evaluate/suite/tcdp responses, sweep points and finished
-// sweeps — to an on-disk store (-store-backend segment or cas). A
-// restarted daemon warms its cache from the store, replays finished
-// sweeps under their old IDs, and adopts already-computed points into
-// new sweep jobs, so historical work is never re-evaluated. Store
-// failures degrade to compute-on-miss and are surfaced on /healthz.
+// With -store-dir the daemon persists every computed result —
+// evaluate/suite/tcdp responses, sweep points and finished sweeps — to
+// an on-disk segment store. A restarted daemon warms its cache from the
+// store, replays finished sweeps under their old IDs, and adopts
+// already-computed points into new sweep jobs, so an interrupted sweep
+// resumes and historical work is never re-evaluated. Store failures
+// degrade to compute-on-miss, count in ppatcd_store_errors_total, and
+// are surfaced on /healthz.
 //
 // The daemon caches results (the pipeline is deterministic; the cache is
 // striped across -cache-shards locks), coalesces concurrent identical
@@ -122,12 +122,10 @@ func run(args []string) error {
 	logLevel := fs.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	logFormat := fs.String("log-format", "json", "log encoding: text or json")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof at /debug/pprof/")
-	sweepDir := fs.String("sweep-dir", "", "sweep checkpoint directory (restarted daemon resumes interrupted sweeps)")
 	sweepQueue := fs.Int("sweep-queue", 8, "queued sweep jobs before 503s")
 	sweepRunners := fs.Int("sweep-runners", 1, "sweep jobs executing concurrently")
 	sweepMaxPoints := fs.Int("sweep-max-points", 0, "largest accepted sweep plan (0 = 100000)")
-	storeDir := fs.String("store-dir", "", "persistent result-store directory (results survive restarts)")
-	storeBackend := fs.String("store-backend", "segment", "result-store layout: segment or cas")
+	storeDir := fs.String("store-dir", "", "persistent result-store directory (results survive restarts; sweeps resume from it)")
 	storeMaxSegment := fs.Int64("store-max-segment-bytes", 0, "segment-store file size cap (0 = 8 MiB)")
 	slowMS := fs.Int("slow-ms", 100, "slow-request threshold in milliseconds (retained in the flight recorder's slow ring and logged at warn; 0 disables)")
 	flightSlots := fs.Int("flight-slots", 1024, "flight-recorder recent-events ring size (rounded up to a power of two)")
@@ -157,13 +155,11 @@ func run(args []string) error {
 		RequestTimeout: *timeout,
 		Logger:         logger,
 		EnablePprof:    *pprofOn,
-		SweepDir:       *sweepDir,
 		SweepQueue:     *sweepQueue,
 		SweepRunners:   *sweepRunners,
 		SweepMaxPoints: *sweepMaxPoints,
 
 		StoreDir:             *storeDir,
-		StoreBackend:         *storeBackend,
 		StoreMaxSegmentBytes: *storeMaxSegment,
 
 		FlightRecentSlots: *flightSlots,

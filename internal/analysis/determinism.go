@@ -11,7 +11,7 @@ import (
 // promise byte-identical reproducible output: wall-clock reads,
 // package-global (unseeded) math/rand, and map iteration that feeds
 // writers, encoders or key builders. The dse engine's NDJSON streams,
-// checkpoint files and spec hashes — and the server's cache keys —
+// store point keys and spec hashes — and the server's cache keys —
 // must not depend on scheduling or map order.
 var Determinism = &Analyzer{
 	Name: "determinism",

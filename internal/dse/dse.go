@@ -16,7 +16,8 @@
 // aggregation paired across the system axis (the Monte Carlo companion
 // of tcdp.MonteCarlo).
 //
-// Long sweeps checkpoint completed points to disk (Checkpoint), so a
-// cancelled CLI run or a restarted ppatcd daemon resumes instead of
-// recomputing.
+// Completed points persist to a store.ResultStore under coordinate keys
+// (PersistPoint), so a cancelled CLI run, a restarted ppatcd daemon, or
+// any later sweep sharing points adopts them (StoredCompleted) instead
+// of recomputing.
 package dse

@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"ppatc/internal/obs"
+	"ppatc/internal/store"
 )
 
 // testSpec is a small but multi-axis sweep: 2 systems × 1 workload ×
@@ -143,7 +143,7 @@ func TestRunPlanRange(t *testing.T) {
 	}
 }
 
-// TestRunPlanRangeCompleted checks checkpointed results use absolute
+// TestRunPlanRangeCompleted checks resumed results use absolute
 // plan indices: in-range entries are emitted verbatim without
 // re-evaluation, out-of-range entries are ignored.
 func TestRunPlanRangeCompleted(t *testing.T) {
@@ -167,7 +167,7 @@ func TestRunPlanRangeCompleted(t *testing.T) {
 		t.Error("range with completed points differs from full-run slice")
 	}
 	if got := ctr.Load(); got != 3 {
-		t.Errorf("evaluated %d points in [2, 6) with one checkpointed, want 3", got)
+		t.Errorf("evaluated %d points in [2, 6) with one resumed, want 3", got)
 	}
 }
 
@@ -236,20 +236,30 @@ func TestYieldOverrideExact(t *testing.T) {
 	}
 }
 
-// TestResume cancels a sweep mid-run, resumes from the checkpoint, and
-// verifies via the obs counter that no point was evaluated twice.
+// openSegmentStore opens the segment store under dir, closing it when
+// the test ends.
+func openSegmentStore(t *testing.T, dir string) *store.SegmentStore {
+	t.Helper()
+	st, err := store.OpenSegmentStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// TestResume cancels a sweep mid-run, reopens its segment store, resumes
+// from the stored points, and verifies via the obs counter that no point
+// was evaluated twice.
 func TestResume(t *testing.T) {
 	spec := testSpec()
 	plan, err := Expand(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	dir := t.TempDir()
 
-	cp, err := OpenCheckpoint(path, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openSegmentStore(t, dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	var c1 obs.Counter
 	var recorded atomic.Int64
@@ -257,7 +267,7 @@ func TestResume(t *testing.T) {
 		Workers:     2,
 		EvalCounter: &c1,
 		OnComplete: func(r Result) error {
-			if err := cp.Record(r); err != nil {
+			if err := PersistPoint(st, plan, r); err != nil {
 				return err
 			}
 			if recorded.Add(1) == 3 {
@@ -272,28 +282,28 @@ func TestResume(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("first run: %v, want context.Canceled", err)
 	}
-	if err := cp.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if c1.Load() == 0 || c1.Load() >= int64(len(plan.Points)) {
 		t.Fatalf("first run recorded %d points, want strictly between 0 and %d", c1.Load(), len(plan.Points))
 	}
 
-	// Resume: reopen the checkpoint, feed its results back in.
-	cp2, err := OpenCheckpoint(path, plan)
-	if err != nil {
-		t.Fatal(err)
+	// Resume: reopen the store, feed its results back in.
+	st2 := openSegmentStore(t, dir)
+	completed, skipped := StoredCompleted(st2, plan)
+	if skipped != 0 {
+		t.Fatalf("resume skipped %d unreadable points", skipped)
 	}
-	defer cp2.Close()
-	if len(cp2.Completed) != int(c1.Load()) {
-		t.Fatalf("checkpoint recovered %d points, counter says %d", len(cp2.Completed), c1.Load())
+	if len(completed) != int(c1.Load()) {
+		t.Fatalf("store recovered %d points, counter says %d", len(completed), c1.Load())
 	}
 	var c2 obs.Counter
 	results, err := RunPlan(context.Background(), plan, Options{
 		Workers:     2,
-		Completed:   cp2.Completed,
+		Completed:   completed,
 		EvalCounter: &c2,
-		OnComplete:  cp2.Record,
+		OnComplete:  func(r Result) error { return PersistPoint(st2, plan, r) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,27 +323,51 @@ func TestResume(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsOtherSpec ensures a checkpoint can't resume a
-// different sweep.
-func TestCheckpointRejectsOtherSpec(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	planA, err := Expand(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := OpenCheckpoint(path, planA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Close()
-	other := testSpec()
-	other.Seed = 99
-	planB, err := Expand(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCheckpoint(path, planB); err == nil || !strings.Contains(err.Error(), "different spec") {
-		t.Fatalf("got %v, want different-spec rejection", err)
+// TestResumeOtherSpecOverStore runs a different-seed spec over the store
+// a first spec filled: coordinate keys let it adopt only points it
+// truly shares, so its output is byte-identical to its own clean run.
+// For testSpec the seed moves no coordinate (every point is adopted);
+// for the Monte Carlo spec it resamples every coordinate.
+func TestResumeOtherSpecOverStore(t *testing.T) {
+	for name, mk := range map[string]func() *Spec{
+		"grid":        testSpec,
+		"monte-carlo": func() *Spec { return mcSpec(3) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			st := openSegmentStore(t, t.TempDir())
+			planA, err := Expand(mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RunPlan(context.Background(), planA, Options{
+				Workers:    2,
+				OnComplete: func(r Result) error { return PersistPoint(st, planA, r) },
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			other := mk()
+			other.Seed = 99
+			planB, err := Expand(other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			completed, skipped := StoredCompleted(st, planB)
+			if skipped != 0 {
+				t.Fatalf("skipped %d unreadable points", skipped)
+			}
+			resumed, err := RunPlan(context.Background(), planB, Options{Workers: 2, Completed: completed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			clean, err := RunPlan(context.Background(), planB, Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ndjson(t, resumed), ndjson(t, clean)) {
+				t.Errorf("spec resumed over another spec's store (%d points adopted) differs from its clean run", len(completed))
+			}
+		})
 	}
 }
 

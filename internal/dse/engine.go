@@ -13,23 +13,25 @@ import (
 )
 
 // Options tunes a Run. The zero value is usable: GOMAXPROCS workers, no
-// checkpoint, no hooks.
+// resumed points, no hooks.
 type Options struct {
 	// Workers caps the evaluation concurrency (<=0 means GOMAXPROCS).
 	// The worker count never changes results — only wall-clock time.
 	Workers int
-	// Completed holds checkpointed results keyed by point index; the
-	// engine emits them verbatim without re-evaluating.
+	// Completed holds already computed results keyed by point index
+	// (StoredCompleted); the engine emits them verbatim without
+	// re-evaluating.
 	Completed map[int]Result
 	// OnComplete fires once per freshly evaluated point, in completion
-	// order, before the point appears anywhere else — the checkpoint
-	// hook. Calls are serialized. A non-nil error cancels the run.
+	// order, before the point appears anywhere else — the persistence
+	// hook (PersistPoint). Calls are serialized. A non-nil error cancels
+	// the run.
 	OnComplete func(Result) error
 	// OnResult fires once per point in plan-index order — the streaming
 	// hook. Calls are serialized. A non-nil error cancels the run.
 	OnResult func(Result) error
 	// EvalCounter, when set, is incremented once per freshly evaluated
-	// and recorded point (checkpointed points don't count).
+	// and recorded point (resumed points don't count).
 	EvalCounter *obs.Counter
 	// MaxPoints rejects plans larger than this many points (<=0 = no
 	// cap). Servers use it to bound job size.
@@ -68,7 +70,7 @@ func RunPlan(ctx context.Context, plan *Plan, opts Options) ([]Result, error) {
 // plan's points — the shard primitive for distributed sweeps. Results
 // come back (and stream via OnResult) in plan-index order within the
 // range, carrying their absolute plan indices, so a coordinator can
-// concatenate range outputs back into the full plan order. Checkpointed
+// concatenate range outputs back into the full plan order. Resumed
 // results in opts.Completed are keyed by absolute plan index; entries
 // outside the range are ignored.
 func RunPlanRange(ctx context.Context, plan *Plan, lo, hi int, opts Options) ([]Result, error) {
@@ -128,7 +130,7 @@ func RunPlanRange(ctx context.Context, plan *Plan, lo, hi int, opts Options) ([]
 		}()
 	}
 
-	// Feeder: skip checkpointed points, stop on cancellation. Points are
+	// Feeder: skip resumed points, stop on cancellation. Points are
 	// fed in memo-locality order — grouped by core tuple so points
 	// sharing stage inputs run close together — which never changes
 	// results or output order (the collector's reorder buffer releases
@@ -192,7 +194,7 @@ func RunPlanRange(ctx context.Context, plan *Plan, lo, hi int, opts Options) ([]
 		}
 		if opts.OnComplete != nil {
 			if err := opts.OnComplete(r); err != nil {
-				fail(fmt.Errorf("dse: checkpoint hook: %w", err))
+				fail(fmt.Errorf("dse: completion hook: %w", err))
 				continue
 			}
 		}

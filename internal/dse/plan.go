@@ -13,7 +13,7 @@ import (
 // design space plus a per-point seed.
 type Point struct {
 	// Index is the point's position in the plan (stable across runs and
-	// worker counts; checkpoints key on it).
+	// worker counts; Options.Completed keys on it).
 	Index int
 	// Seed is the per-point seed derived from the root seed and Index,
 	// available to any stochastic evaluation stage.
@@ -43,7 +43,7 @@ type Point struct {
 type Plan struct {
 	// Spec is the normalized spec the plan was expanded from.
 	Spec *Spec
-	// Hash identifies the normalized spec (checkpoint identity).
+	// Hash identifies the normalized spec (sweep job identity).
 	Hash string
 	// Points are the evaluations, in deterministic order.
 	Points []Point

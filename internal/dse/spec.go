@@ -344,7 +344,7 @@ func (s *Spec) Validate() error {
 // normalized returns a copy with every default made explicit: resolved
 // full system names, the default workload/grid/lifetime/objectives, and
 // the replica count. The normalized spec is what Hash covers, so a spec
-// and its fully spelled-out form resume each other's checkpoints.
+// and its fully spelled-out form land on the same sweep job.
 func (s *Spec) normalized() (*Spec, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -400,7 +400,7 @@ func (s *Spec) hasDistAxis() bool {
 }
 
 // Hash is the hex SHA-256 of the normalized spec's canonical JSON — the
-// identity checkpoints and sweep jobs are keyed by.
+// identity sweep jobs are keyed by.
 func (s *Spec) Hash() (string, error) {
 	n, err := s.normalized()
 	if err != nil {

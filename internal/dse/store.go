@@ -13,7 +13,9 @@ import (
 // later job touching the same point — any job, not just a resume of the
 // same spec — adopts the stored result instead of re-running the
 // pipeline, and a finished sweep's full ordered result set persists
-// under its job ID for replay after a daemon restart.
+// under its job ID for replay after a daemon restart. This is the only
+// resume path: an interrupted sweep re-run over the same store adopts
+// every point it had finished.
 
 // Store record kinds written by the sweep engine.
 const (
@@ -52,23 +54,30 @@ func planPointKey(plan *Plan, p Point) string {
 func SweepKey(id string) string { return "sweep|" + id }
 
 // StoredCompleted scans st for results of plan's points computed by any
-// earlier job and returns them keyed by plan index — the same shape as
-// Checkpoint.Completed, so the engine skips their evaluation. Adopted
+// earlier job and returns them keyed by plan index, ready for
+// Options.Completed, so the engine skips their evaluation. Adopted
 // results are re-stamped with this plan's index and replica (the only
-// job-relative fields). Store read errors skip the point rather than
-// failing the sweep: the store is an accelerator, not a dependency.
-func StoredCompleted(st store.ResultStore, plan *Plan) map[int]Result {
+// job-relative fields). A point whose read fails or whose body does not
+// decode is skipped rather than failing the sweep — the store is an
+// accelerator, not a dependency — and counted in skipped so the caller
+// can report it.
+func StoredCompleted(st store.ResultStore, plan *Plan) (completed map[int]Result, skipped int) {
 	if st == nil {
-		return nil
+		return nil, 0
 	}
 	var out map[int]Result
 	for _, p := range plan.Points {
 		rec, ok, err := st.Get(planPointKey(plan, p))
-		if err != nil || !ok {
+		if err != nil {
+			skipped++
+			continue
+		}
+		if !ok {
 			continue
 		}
 		var r Result
 		if err := json.Unmarshal(rec.Body, &r); err != nil {
+			skipped++
 			continue
 		}
 		r.Index = p.Index
@@ -78,7 +87,7 @@ func StoredCompleted(st store.ResultStore, plan *Plan) map[int]Result {
 		}
 		out[p.Index] = r
 	}
-	return out
+	return out, skipped
 }
 
 // PersistPoint writes one freshly evaluated result through to st under

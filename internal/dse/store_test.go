@@ -3,6 +3,7 @@ package dse
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"ppatc/internal/obs"
@@ -69,7 +70,7 @@ func TestCrossJobDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	completed := StoredCompleted(st, plan2)
+	completed, _ := StoredCompleted(st, plan2)
 	if len(completed) != len(plan1.Points) {
 		t.Fatalf("adopted %d stored points, want %d", len(completed), len(plan1.Points))
 	}
@@ -134,7 +135,69 @@ func TestPersistLoadSweep(t *testing.T) {
 	if _, ok, _ := LoadSweep(nil, id); ok {
 		t.Error("nil store returned a sweep")
 	}
-	if m := StoredCompleted(nil, plan); m != nil {
+	if m, _ := StoredCompleted(nil, plan); m != nil {
 		t.Error("nil store returned completions")
+	}
+}
+
+// failGetStore fails every Get of one key, standing in for a store
+// whose read path broke under it.
+type failGetStore struct {
+	store.ResultStore
+	key string
+}
+
+func (s failGetStore) Get(key string) (store.Record, bool, error) {
+	if key == s.key {
+		return store.Record{}, false, errors.New("disk on fire")
+	}
+	return s.ResultStore.Get(key)
+}
+
+// TestStoredCompletedCountsSkipped pins that a point the store cannot
+// give back — a failed read or an undecodable body — is re-evaluated,
+// not adopted, and is counted rather than silently dropped.
+func TestStoredCompletedCountsSkipped(t *testing.T) {
+	plan, err := Expand(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := store.NewMemStore()
+	results, err := RunPlan(context.Background(), plan, Options{
+		Workers:    2,
+		OnComplete: func(r Result) error { return PersistPoint(mem, plan, r) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbled := planPointKey(plan, plan.Points[2])
+	if err := mem.Put(store.Record{Key: garbled, Kind: KindPoint, Body: []byte("{not json")}); err != nil {
+		t.Fatal(err)
+	}
+	st := failGetStore{ResultStore: mem, key: planPointKey(plan, plan.Points[5])}
+
+	completed, skipped := StoredCompleted(st, plan)
+	if skipped != 2 {
+		t.Errorf("skipped = %d, want 2 (one failed read, one undecodable body)", skipped)
+	}
+	if _, ok := completed[2]; ok {
+		t.Error("undecodable point adopted")
+	}
+	if _, ok := completed[5]; ok {
+		t.Error("unreadable point adopted")
+	}
+	if len(completed) != len(plan.Points)-2 {
+		t.Fatalf("adopted %d points, want %d", len(completed), len(plan.Points)-2)
+	}
+	var evals obs.Counter
+	resumed, err := RunPlan(context.Background(), plan, Options{Workers: 2, Completed: completed, EvalCounter: &evals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := evals.Load(); got != 2 {
+		t.Errorf("re-evaluated %d points, want the 2 skipped ones", got)
+	}
+	if !bytes.Equal(ndjson(t, resumed), ndjson(t, results)) {
+		t.Error("resume over a partly unreadable store differs from the clean run")
 	}
 }

@@ -244,12 +244,12 @@ type sweepCoord struct {
 	plan     *dse.Plan
 	leases   *cluster.LeaseTable
 	leaseTTL time.Duration
-	// resumed marks indices adopted from the store/checkpoint before
-	// the run; workers skip them and the merge fills them from results.
+	// resumed marks indices adopted from the store before the run;
+	// workers skip them and the merge fills them from results.
 	resumed []bool
-	// onFresh chains checkpoint + persistence for every freshly
-	// evaluated point, called at merge time in completion order.
-	onFresh func(dse.Result) error
+	// onFresh persists every freshly evaluated point, called at merge
+	// time in completion order.
+	onFresh func(dse.Result)
 
 	mu      sync.Mutex
 	results []dse.Result
@@ -261,8 +261,8 @@ type sweepCoord struct {
 
 // newSweepCoord seeds the merge buffer with resumed results and
 // commits any already-complete prefix, mirroring the single-node
-// engine's pre-release of checkpointed points.
-func newSweepCoord(s *Server, j *sweepJob, completed map[int]dse.Result, onFresh func(dse.Result) error) *sweepCoord {
+// engine's pre-release of resumed points.
+func newSweepCoord(s *Server, j *sweepJob, completed map[int]dse.Result, onFresh func(dse.Result)) *sweepCoord {
 	total := len(j.plan.Points)
 	rangeSize := s.cfg.ClusterRangeSize
 	if rangeSize <= 0 {
@@ -358,12 +358,9 @@ func (co *sweepCoord) acceptRange(lo, hi int, results []dse.Result) (bool, error
 		return false, co.failed
 	}
 	for _, r := range results {
-		// Checkpoint + persist before the point becomes visible anywhere,
-		// matching the single-node OnComplete-before-OnResult ordering.
-		if err := co.onFresh(r); err != nil {
-			co.failLocked(err)
-			return false, err
-		}
+		// Persist before the point becomes visible anywhere, matching
+		// the single-node OnComplete-before-OnResult ordering.
+		co.onFresh(r)
 		co.results[r.Index] = r
 		co.present[r.Index] = true
 	}
@@ -417,7 +414,7 @@ func (co *sweepCoord) finalResults() []dse.Result {
 // plan, invite every alive peer, and work the lease table locally too
 // (the coordinator is also a worker, and the local loop steals expired
 // leases from dead peers — liveness never depends on any peer).
-func (s *Server) runDistributedSweep(ctx context.Context, j *sweepJob, completed map[int]dse.Result, onFresh func(dse.Result) error, start time.Time) {
+func (s *Server) runDistributedSweep(ctx context.Context, j *sweepJob, completed map[int]dse.Result, onFresh func(dse.Result), start time.Time) {
 	c := s.cluster.Load()
 	co := newSweepCoord(s, j, completed, onFresh)
 	c.mu.Lock()

@@ -17,23 +17,15 @@ import (
 // a dependency — every store failure degrades to compute-on-miss and is
 // surfaced on /healthz rather than failing requests.
 
-// Store backends selectable by Config.StoreBackend / ppatcd -store-backend.
-const (
-	StoreBackendSegment = "segment"
-	StoreBackendCAS     = "cas"
-)
-
-// persistStatus is the /healthz persistence report: one line per
-// persistence surface, "ok", "disabled", or "degraded: <why>".
+// persistStatus is the /healthz persistence report: "ok", "disabled",
+// or "degraded: <why>".
 type persistStatus struct {
-	SweepDir string `json:"sweep_dir"`
-	Store    string `json:"store"`
+	Store string `json:"store"`
 }
 
 // openStore resolves Config.Store/StoreDir into the server's result
 // store. A failed open logs, marks /healthz degraded and leaves the
-// daemon serving compute-only — the same degrade-don't-die policy as
-// the sweep checkpoint directory.
+// daemon serving compute-only: degrade, don't die.
 func (s *Server) openStore(cfg Config) {
 	switch {
 	case cfg.Store != nil:
@@ -43,23 +35,14 @@ func (s *Server) openStore(cfg Config) {
 		s.persist.Store = "disabled"
 		return
 	default:
-		var err error
-		switch cfg.StoreBackend {
-		case "", StoreBackendSegment:
-			s.store, err = store.OpenSegmentStore(cfg.StoreDir, cfg.StoreMaxSegmentBytes)
-		case StoreBackendCAS:
-			s.store, err = store.OpenCASStore(cfg.StoreDir)
-		default:
-			err = fmt.Errorf("unknown store backend %q (valid: %s, %s)",
-				cfg.StoreBackend, StoreBackendSegment, StoreBackendCAS)
-		}
+		seg, err := store.OpenSegmentStore(cfg.StoreDir, cfg.StoreMaxSegmentBytes)
 		if err != nil {
 			s.log.Error("result store unavailable; persistence disabled",
 				"dir", cfg.StoreDir, "error", err)
 			s.persist.Store = "degraded: " + err.Error()
-			s.store = nil
 			return
 		}
+		s.store = seg
 		s.persist.Store = "ok"
 	}
 	s.metrics.storeKeys = func() int { return s.store.Stats().Keys }
@@ -153,6 +136,20 @@ func (s *Server) storeLookup(key string) (body []byte, ok bool) {
 	}
 	s.metrics.StoreHits.Add(1)
 	return s.cache.Put(key, rec.Body), true
+}
+
+// storedCompleted adopts the job's points already in the store. A point
+// the store cannot give back (failed read, undecodable body) is
+// re-evaluated instead, metered as a store error and reported in one
+// log line per job.
+func (s *Server) storedCompleted(j *sweepJob) map[int]dse.Result {
+	completed, skipped := dse.StoredCompleted(s.store, j.plan)
+	if skipped > 0 {
+		s.metrics.StoreErrors.Add(int64(skipped))
+		s.log.Warn("stored sweep points unreadable; re-evaluating them",
+			"id", j.id, "points", skipped, "request_id", j.requestID)
+	}
+	return completed
 }
 
 // persistPoint writes one freshly evaluated sweep point through to the

@@ -64,22 +64,16 @@ type Config struct {
 	// SweepRunners is the number of sweeps executing concurrently
 	// (default 1; each sweep parallelizes internally across Workers).
 	SweepRunners int
-	// SweepDir, when set, holds per-job checkpoint files so a restarted
-	// daemon resumes interrupted sweeps instead of recomputing them.
-	SweepDir string
 	// SweepMaxPoints rejects sweep specs expanding beyond this many
 	// points (default 100000).
 	SweepMaxPoints int
 
-	// StoreDir, when set, opens a persistent result store under this
+	// StoreDir, when set, opens a persistent segment store under this
 	// directory: evaluate/suite/tcdp responses, sweep point sets and
-	// per-point results write through and survive restarts.
+	// per-point results write through and survive restarts, and a
+	// re-submitted sweep resumes from its stored points.
 	StoreDir string
-	// StoreBackend selects the on-disk layout: "segment" (default,
-	// append-only NDJSON segments) or "cas" (content-addressed, dedups
-	// identical results across keys).
-	StoreBackend string
-	// StoreMaxSegmentBytes caps one segment file of the segment backend
+	// StoreMaxSegmentBytes caps one segment file of the store
 	// (0 = 8 MiB).
 	StoreMaxSegmentBytes int64
 	// Store injects a caller-built ResultStore (tests, embedding); it
@@ -223,19 +217,6 @@ func New(cfg Config) *Server {
 	s.metrics.flightDropped = s.recorder.Dropped
 	s.metrics.streamSubs = s.recorder.Hub().Subscribers
 
-	s.persist.SweepDir = "ok"
-	if cfg.SweepDir == "" {
-		s.persist.SweepDir = "disabled"
-	}
-	if err := ensureSweepDir(cfg.SweepDir); err != nil {
-		// A broken checkpoint path shouldn't keep the daemon down —
-		// sweeps degrade to checkpoint-free, and /healthz carries the
-		// degradation so operators see it (silent clearing hid it).
-		s.log.Error("sweep checkpoint dir unavailable; checkpointing disabled",
-			"dir", cfg.SweepDir, "error", err)
-		s.persist.SweepDir = "degraded: " + err.Error()
-		s.cfg.SweepDir = ""
-	}
 	s.openStore(cfg)
 	s.sweeps = newSweepManager(cfg.SweepQueue)
 	s.metrics.sweepQueue = func() int { return len(s.sweeps.queue) }
@@ -959,7 +940,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	code := http.StatusOK
-	if strings.HasPrefix(s.persist.SweepDir, "degraded") || strings.HasPrefix(s.persist.Store, "degraded") {
+	if strings.HasPrefix(s.persist.Store, "degraded") {
 		status = "degraded"
 	}
 	if s.draining.Load() {

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -39,7 +37,7 @@ type sweepJob struct {
 	status   string
 	errMsg   string
 	results  []dse.Result
-	resumed  int           // points recovered from a checkpoint
+	resumed  int           // points adopted from the result store
 	notify   chan struct{} // closed and replaced on every commit
 	cancel   context.CancelFunc
 	created  time.Time
@@ -72,8 +70,8 @@ func sweepTerminal(status string) bool {
 
 // sweepManager owns the job table and the bounded runner pool. Job IDs
 // are the spec hash, so POSTing the same spec twice (or after a daemon
-// restart) lands on the same job — and, with a checkpoint directory, on
-// the same completed points.
+// restart) lands on the same job — and, with a result store, on the
+// same completed points.
 type sweepManager struct {
 	mu    sync.Mutex
 	jobs  map[string]*sweepJob
@@ -185,50 +183,27 @@ func (s *Server) runSweep(j *sweepJob) {
 		},
 	}
 	// Adopt every point some earlier job already computed and persisted
-	// — cross-job, cross-restart dedup by coordinate identity. A
-	// job-local checkpoint (same spec, interrupted run) overlays it.
-	completed := dse.StoredCompleted(s.store, j.plan)
-	var cp *dse.Checkpoint
-	if s.cfg.SweepDir != "" {
-		var err error
-		cp, err = dse.OpenCheckpoint(filepath.Join(s.cfg.SweepDir, j.id+".ckpt"), j.plan)
-		if err != nil {
-			s.finishSweep(j, SweepFailed, err, start)
-			return
-		}
-		defer cp.Close()
-		for i, r := range cp.Completed {
-			if completed == nil {
-				completed = make(map[int]dse.Result, len(cp.Completed))
-			}
-			completed[i] = r
-		}
-		opts.OnComplete = cp.Record
-	}
+	// — cross-job, cross-restart dedup by coordinate identity, which is
+	// also how an interrupted sweep resumes.
+	completed := s.storedCompleted(j)
 	opts.Completed = completed
 	j.mu.Lock()
 	j.resumed = len(completed)
 	j.mu.Unlock()
-	// Fresh evaluations write through to the store after checkpointing;
-	// a persist failure degrades (metered) rather than failing the sweep.
-	checkpoint := opts.OnComplete
+	// Fresh evaluations write through to the store; a persist failure
+	// degrades (metered) rather than failing the sweep.
+	persist := func(r dse.Result) { s.persistPoint(j.plan, r, j.requestID) }
 	opts.OnComplete = func(r dse.Result) error {
-		if checkpoint != nil {
-			if err := checkpoint(r); err != nil {
-				return err
-			}
-		}
-		s.persistPoint(j.plan, r, j.requestID)
+		persist(r)
 		return nil
 	}
 
 	// With alive peers, shard the plan across the cluster instead of
 	// running it on one box: the coordinator merges ranges back into
-	// plan order, so the committed results — and the checkpoint and
-	// persistence writes chained into opts.OnComplete — are the same
-	// either way.
+	// plan order, so the committed results — and the persistence writes
+	// — are the same either way.
 	if n := s.clusterNode(); n != nil && len(n.AlivePeers()) > 0 {
-		s.runDistributedSweep(ctx, j, completed, opts.OnComplete, start)
+		s.runDistributedSweep(ctx, j, completed, persist, start)
 		return
 	}
 
@@ -472,13 +447,4 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	j.mu.Unlock()
 	writeJSON(w, j.snapshot())
-}
-
-// ensureSweepDir creates the checkpoint directory up front so a
-// misconfigured path fails at startup, not mid-sweep.
-func ensureSweepDir(dir string) error {
-	if dir == "" {
-		return nil
-	}
-	return os.MkdirAll(dir, 0o755)
 }

@@ -18,12 +18,6 @@ import (
 // cheapest kernel, 2 points.
 const smokeSweep = `{"name": "smoke", "axes": {"workload": ["huff"]}}`
 
-func sweepConfig(dir string) Config {
-	cfg := quietConfig()
-	cfg.SweepDir = dir
-	return cfg
-}
-
 func newSweepServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(cfg)
@@ -57,7 +51,7 @@ func waitSweep(t *testing.T, ts *httptest.Server, id string) sweepStatus {
 // TestSweepLifecycle walks the whole async API: POST → poll → stream
 // NDJSON → analyses → metrics.
 func TestSweepLifecycle(t *testing.T) {
-	srv, ts := newSweepServer(t, sweepConfig(""))
+	srv, ts := newSweepServer(t, quietConfig())
 
 	resp, body := post(t, ts, "/v1/sweeps", smokeSweep)
 	if resp.StatusCode != http.StatusAccepted {
@@ -141,46 +135,6 @@ func TestSweepLifecycle(t *testing.T) {
 	}
 }
 
-// TestSweepRestartResume: a daemon restart (new Server, same checkpoint
-// dir) resumes a completed sweep from disk without re-evaluating.
-func TestSweepRestartResume(t *testing.T) {
-	dir := t.TempDir()
-
-	srv1 := New(sweepConfig(dir))
-	ts1 := httptest.NewServer(srv1.Handler())
-	resp, body := post(t, ts1, "/v1/sweeps", smokeSweep)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST: %d %s", resp.StatusCode, body)
-	}
-	var st sweepStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	waitSweep(t, ts1, st.ID)
-	if got := srv1.Metrics().SweepPoints.Load(); got != 2 {
-		t.Fatalf("first daemon evaluated %d points, want 2", got)
-	}
-	ts1.Close()
-	srv1.Close()
-
-	// "Restart": a fresh server over the same checkpoint directory.
-	srv2, ts2 := newSweepServer(t, sweepConfig(dir))
-	resp, body = post(t, ts2, "/v1/sweeps", smokeSweep)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("re-POST after restart: %d %s", resp.StatusCode, body)
-	}
-	final := waitSweep(t, ts2, st.ID)
-	if final.Status != SweepDone || final.Completed != 2 {
-		t.Fatalf("resumed job: %+v", final)
-	}
-	if final.Resumed != 2 {
-		t.Errorf("resumed %d points from checkpoint, want 2", final.Resumed)
-	}
-	if got := srv2.Metrics().SweepPoints.Load(); got != 0 {
-		t.Errorf("restarted daemon re-evaluated %d points, want 0", got)
-	}
-}
-
 // TestSweepCancelQueued: DELETE on a queued job cancels it before it
 // runs.
 func TestSweepCancelQueued(t *testing.T) {
@@ -189,7 +143,7 @@ func TestSweepCancelQueued(t *testing.T) {
 	// instead cancel in the queued window by stopping the runner pool —
 	// simplest deterministic route: a server whose base context is
 	// already cancelled leaves every job queued.
-	cfg := sweepConfig("")
+	cfg := quietConfig()
 	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	srv := New(cfg)
 	srv.cancel() // runners exit; jobs stay queued
@@ -222,7 +176,7 @@ func TestSweepCancelQueued(t *testing.T) {
 
 // TestSweepValidation: bad specs and unknown jobs map to 4xx.
 func TestSweepValidation(t *testing.T) {
-	_, ts := newSweepServer(t, sweepConfig(""))
+	_, ts := newSweepServer(t, quietConfig())
 	resp, _ := post(t, ts, "/v1/sweeps", `{"axes": {"system": ["vacuum-tube"]}}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown system: %d, want 400", resp.StatusCode)
@@ -231,7 +185,7 @@ func TestSweepValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: %d, want 404", resp.StatusCode)
 	}
-	cfg := sweepConfig("")
+	cfg := quietConfig()
 	cfg.SweepMaxPoints = 1
 	_, ts2 := newSweepServer(t, cfg)
 	resp, body := post(t, ts2, "/v1/sweeps", smokeSweep)

@@ -16,13 +16,13 @@ import (
 // segment files (seg-00000001.ndjson, …) under one directory, with an
 // in-memory index mapping each live key to its newest on-disk record.
 //
-// Durability discipline follows dse.OpenCheckpoint: every Put flushes
-// its line, reopen tolerates a torn trailing line in the youngest
-// segment (a crash mid-append) by truncating it away, and a bad line
-// anywhere else reports corruption instead of guessing. The active
-// segment rotates once it exceeds MaxSegmentBytes; overwritten records
-// become dead bytes, and once they outweigh the live ones a compaction
-// rewrites the live set into fresh segments and deletes the old files.
+// Durability discipline: every Put flushes its line, reopen tolerates a
+// torn trailing line in the youngest segment (a crash mid-append) by
+// truncating it away, and a bad line anywhere else reports corruption
+// instead of guessing. The active segment rotates once it exceeds
+// MaxSegmentBytes; overwritten records become dead bytes, and once they
+// outweigh the live ones a compaction rewrites the live set into fresh
+// segments and deletes the old files.
 // Compacted copies land in strictly newer segments, so a crash at any
 // point of a compaction leaves a directory that reopens correctly
 // (newest record wins).
@@ -118,8 +118,8 @@ func (s *SegmentStore) segPath(id int) string {
 }
 
 // loadSegment indexes one existing segment. Only the youngest segment
-// (last=true) may carry a torn trailing line, which is truncated away —
-// the same crash-tolerance contract as dse.OpenCheckpoint.
+// (last=true) may carry a torn trailing line, which is truncated away,
+// so the next append starts on a clean line.
 func (s *SegmentStore) loadSegment(id int, last bool) error {
 	path := s.segPath(id)
 	data, err := os.ReadFile(path)

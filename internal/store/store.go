@@ -6,17 +6,15 @@
 // scaled-out — daemon serves historical results without re-running the
 // pipeline.
 //
-// Three implementations cover the deployment spectrum:
+// Two implementations:
 //
 //   - MemStore: a map. Current in-process behavior, for tests and as the
 //     degraded fallback.
 //   - SegmentStore: append-only NDJSON segment files with an in-memory
-//     index — crash-safe reopen (torn trailing lines are truncated, the
-//     discipline proven by dse.OpenCheckpoint), size-bounded segment
-//     rotation, and dead-record compaction.
-//   - CASStore: content-addressed blobs. Records are stored once per
-//     distinct body hash, so identical points computed by different
-//     sweep jobs dedup to one object on disk.
+//     index — crash-safe reopen (a torn trailing line is truncated),
+//     size-bounded segment rotation, and dead-record compaction. It is
+//     also the sweep engine's only resume path (ppatc sweep -store-dir,
+//     ppatcd -store-dir).
 //
 // Stored bodies are returned byte-identically: callers cache and serve
 // them verbatim, which preserves the engine's determinism contract
@@ -47,15 +45,12 @@ type Stats struct {
 	// consumed by overwritten records awaiting compaction (SegmentStore).
 	LiveBytes int64 `json:"live_bytes"`
 	DeadBytes int64 `json:"dead_bytes"`
-	// Segments counts on-disk segment files (SegmentStore) or distinct
-	// content-addressed objects (CASStore).
+	// Segments counts on-disk segment files (SegmentStore).
 	Segments int `json:"segments"`
-	// Puts/Gets/Hits count operations since open; Dedups counts Puts
-	// whose body was already stored under another key (CASStore).
-	Puts   uint64 `json:"puts"`
-	Gets   uint64 `json:"gets"`
-	Hits   uint64 `json:"hits"`
-	Dedups uint64 `json:"dedups"`
+	// Puts/Gets/Hits count operations since open.
+	Puts uint64 `json:"puts"`
+	Gets uint64 `json:"gets"`
+	Hits uint64 `json:"hits"`
 	// Compactions counts segment-compaction passes.
 	Compactions uint64 `json:"compactions"`
 }

@@ -12,7 +12,6 @@ import (
 var (
 	_ ResultStore = (*MemStore)(nil)
 	_ ResultStore = (*SegmentStore)(nil)
-	_ ResultStore = (*CASStore)(nil)
 )
 
 // openStores builds one of each implementation over t.TempDir.
@@ -22,14 +21,9 @@ func openStores(t *testing.T) map[string]ResultStore {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cas, err := OpenCASStore(filepath.Join(t.TempDir(), "cas"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	stores := map[string]ResultStore{
 		"mem":     NewMemStore(),
 		"segment": seg,
-		"cas":     cas,
 	}
 	t.Cleanup(func() {
 		for _, s := range stores {
@@ -239,7 +233,7 @@ func TestSegmentMidFileCorruptionRejected(t *testing.T) {
 
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.ndjson"))
 	f, _ := os.OpenFile(segs[0], os.O_WRONLY|os.O_APPEND, 0o644)
-	f.WriteString("not json\n")           // complete (newline-terminated) garbage line
+	f.WriteString("not json\n")                   // complete (newline-terminated) garbage line
 	f.WriteString(`{"key":"b","body":""}` + "\n") // followed by a valid record
 	f.Close()
 
@@ -295,90 +289,5 @@ func TestSegmentRotationAndCompaction(t *testing.T) {
 	defer st2.Close()
 	if got := st2.Stats().Keys; got != 12 {
 		t.Fatalf("reopened keys = %d, want 12", got)
-	}
-}
-
-func TestCASDedup(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenCASStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	body := []byte(`{"same":"result"}`)
-	for i := 0; i < 5; i++ {
-		if err := st.Put(Record{Key: fmt.Sprintf("point|job%d", i), Kind: "point", Body: body}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats := st.Stats()
-	if stats.Keys != 5 || stats.Segments != 1 {
-		t.Fatalf("keys=%d objects=%d, want 5 keys sharing 1 object", stats.Keys, stats.Segments)
-	}
-	if stats.Dedups != 4 {
-		t.Errorf("dedups = %d, want 4", stats.Dedups)
-	}
-	// Exactly one object file exists.
-	count := 0
-	filepath.Walk(filepath.Join(dir, "objects"), func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			count++
-		}
-		return nil
-	})
-	if count != 1 {
-		t.Errorf("object files = %d, want 1", count)
-	}
-}
-
-func TestCASReopenAndTornIndex(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenCASStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Put(Record{Key: "a", Kind: "point", Body: []byte(`{"v":1}`)})
-	st.Put(Record{Key: "b", Kind: "point", Body: []byte(`{"v":2}`)})
-	st.Close()
-
-	// Torn index tail from a crash mid-append.
-	f, _ := os.OpenFile(filepath.Join(dir, "index.ndjson"), os.O_WRONLY|os.O_APPEND, 0o644)
-	f.WriteString(`{"key":"c","sha2`)
-	f.Close()
-
-	st2, err := OpenCASStore(dir)
-	if err != nil {
-		t.Fatalf("torn index not tolerated: %v", err)
-	}
-	defer st2.Close()
-	if got := st2.Stats().Keys; got != 2 {
-		t.Fatalf("keys = %d, want 2", got)
-	}
-	rec, ok, err := st2.Get("b")
-	if err != nil || !ok || string(rec.Body) != `{"v":2}` {
-		t.Fatalf("reopened get: %v %v %s", ok, err, rec.Body)
-	}
-	// Appends still work after recovery.
-	if err := st2.Put(Record{Key: "c", Body: []byte(`{"v":3}`)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := st2.Get("c"); !ok {
-		t.Error("post-recovery record missing")
-	}
-}
-
-func TestCASNoTempLeftovers(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenCASStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for i := 0; i < 10; i++ {
-		st.Put(Record{Key: fmt.Sprintf("k%d", i), Body: []byte(fmt.Sprintf(`{"i":%d}`, i))})
-	}
-	matches, _ := filepath.Glob(filepath.Join(dir, "objects", "*", "*.tmp"))
-	if len(matches) != 0 {
-		t.Errorf("temp files left behind: %v", matches)
 	}
 }
