@@ -13,8 +13,10 @@ import (
 // gitChangedFiles lists the paths git reports as changed relative to
 // base (committed, staged, and working-tree edits alike), as
 // repo-root-relative slash paths — the same shape diagnostics use.
+// Deleted files are left out: a package removed since base has nothing
+// left to analyze, and go list refuses its vanished directory.
 func gitChangedFiles(dir, base string) ([]string, error) {
-	return gitLines(dir, "diff", "--name-only", base, "--")
+	return gitLines(dir, "diff", "--name-only", "--diff-filter=d", base, "--")
 }
 
 // gitNestedModules lists the directories holding a go.mod other than

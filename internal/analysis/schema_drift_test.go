@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// TestSchemaDriftGate runs the apicontract analyzer over the two
-// packages whose structs serialize to committed or dumped artifacts —
-// flight NDJSON events and BENCH_*.json reports. Adding a json tag to
-// a //ppatc:schema struct without documenting it in DATA_SCHEMA.md
-// fails here, so the schema file cannot drift silently.
+// TestSchemaDriftGate runs the apicontract analyzer over the package
+// whose structs serialize to dumped artifacts — flight NDJSON events.
+// Adding a json tag to a //ppatc:schema struct without documenting it
+// in DATA_SCHEMA.md fails here, so the schema file cannot drift
+// silently.
 func TestSchemaDriftGate(t *testing.T) {
-	pkgs, err := Load("../..", "./internal/obs/flight", "./internal/bench")
+	pkgs, err := Load("../..", "./internal/obs/flight")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +26,7 @@ func TestSchemaDriftGate(t *testing.T) {
 // nothing.
 func TestSchemaStructsAreMarked(t *testing.T) {
 	for path, want := range map[string]int{
-		"../obs/flight/flight.go": 1,  // Event
-		"../bench/report.go":      10, // Engine … Report
+		"../obs/flight/flight.go": 1, // Event
 	} {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -40,14 +39,14 @@ func TestSchemaStructsAreMarked(t *testing.T) {
 }
 
 // TestDocumentedSchemaTags pins the DATA_SCHEMA.md token extraction:
-// known flight and bench field names parse out as documented, and a
+// known flight field names parse out as documented, and a
 // name absent from the document stays undocumented.
 func TestDocumentedSchemaTags(t *testing.T) {
 	tags, err := documentedSchemaTags(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"seq", "compute_ns", "queue_wait_ns", "cache_hits", "target", "requests"} {
+	for _, want := range []string{"seq", "compute_ns", "queue_wait_ns", "request_id", "pool_depth", "admission_class"} {
 		if !tags[want] {
 			t.Errorf("documented tag %q not extracted from DATA_SCHEMA.md", want)
 		}

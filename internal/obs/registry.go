@@ -35,10 +35,10 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 // observation. Bucket counts are stored per-bucket and cumulated at
 // render time, the way Prometheus expects `le` buckets.
 type Histogram struct {
-	buckets   []float64
-	counts    []atomic.Int64 // one per bucket; overflow lives in count-sum
-	count     atomic.Int64
-	sumMicros atomic.Int64
+	buckets  []float64
+	counts   []atomic.Int64 // one per bucket; overflow lives in count-sum
+	count    atomic.Int64
+	sumNanos atomic.Int64
 }
 
 func newHistogram(buckets []float64) *Histogram {
@@ -55,7 +55,7 @@ func (h *Histogram) Observe(d time.Duration) {
 		}
 	}
 	h.count.Add(1)
-	h.sumMicros.Add(d.Microseconds())
+	h.sumNanos.Add(d.Nanoseconds())
 }
 
 // Count reports the number of observations.
@@ -312,7 +312,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 				if f.label != "" {
 					suffix = fmt.Sprintf("{%s=%q}", f.label, lv)
 				}
-				if err := p("%s_sum%s %g\n", f.name, suffix, float64(h.sumMicros.Load())/1e6); err != nil {
+				if err := p("%s_sum%s %g\n", f.name, suffix, float64(h.sumNanos.Load())/1e9); err != nil {
 					f.mu.Unlock()
 					return n, err
 				}
@@ -348,7 +348,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 						f.mu.Unlock()
 						return n, err
 					}
-					if err := p("%s_sum{%s} %g\n", f.name, label, float64(h.sumMicros.Load())/1e6); err != nil {
+					if err := p("%s_sum{%s} %g\n", f.name, label, float64(h.sumNanos.Load())/1e9); err != nil {
 						f.mu.Unlock()
 						return n, err
 					}

@@ -18,6 +18,8 @@ func TestRegistryRender(t *testing.T) {
 	cv.With("a").Add(2)
 	hv.With("eval").Observe(5 * time.Millisecond)
 	hv.With("eval").Observe(500 * time.Microsecond)
+	hv.With("hit").Observe(1500 * time.Nanosecond)
+	hv.With("hit").Observe(1500 * time.Nanosecond)
 
 	var sb strings.Builder
 	if _, err := reg.WriteTo(&sb); err != nil {
@@ -38,6 +40,8 @@ func TestRegistryRender(t *testing.T) {
 		`demo_seconds_bucket{op="eval",le="+Inf"} 2`,
 		`demo_seconds_sum{op="eval"} 0.0055`,
 		`demo_seconds_count{op="eval"} 2`,
+		// Sub-microsecond remainders must reach _sum, not truncate away.
+		`demo_seconds_sum{op="hit"} 3e-06`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)

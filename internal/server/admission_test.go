@@ -3,12 +3,18 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ppatc/internal/embench"
 	"ppatc/internal/obs/flight"
 )
 
@@ -187,5 +193,122 @@ func TestAdmissionClassInFlightDump(t *testing.T) {
 	}
 	if n := srv.Metrics().QueueWaitCount("interactive"); n < 3 {
 		t.Errorf("interactive queue-wait observations %d, want >= 3", n)
+	}
+}
+
+// TestInteractiveP99UnderBulkFlood is the admission-control contract
+// under worst-case head-of-line pressure: two flooders keep the worker
+// pool saturated with cold 256-tuple batches (a 4-entry, 1-shard cache
+// evicts everything between rounds) while one prober issues single
+// evaluations. The probe p99 must stay within 5x its own p95, with a
+// 50 ms floor so timer noise on a small sample cannot fail a healthy
+// run. Before per-class admission the probe tail sat behind whole batch
+// fan-outs and blew this budget by an order of magnitude (141 ms p99
+// against a 0.43 ms p95).
+//
+// Probes use the Solar and Taiwan grids, which the flood never touches,
+// so a probe is never a coalesced ride on a batch item. It is still no
+// full pipeline run: the daemon evaluates every cold request through
+// its process-lifetime stage memo, so once each probe grid's carbon
+// stage has run, a probe miss is a memo replay. One run on a 2-vCPU
+// Xeon (go1.24.0) measured 11,924 probes in 2 s, p50 0.103 ms, p95
+// 0.521 ms, p99 1.07 ms; the 50 ms floor, not 5x p95, is therefore the
+// bound that binds.
+func TestInteractiveP99UnderBulkFlood(t *testing.T) {
+	if testing.Short() {
+		t.Skip("floods the pool for seconds")
+	}
+	const (
+		flooders  = 2
+		batchSize = 256
+		window    = 2 * time.Second
+	)
+	srv := New(Config{
+		Workers:      runtime.GOMAXPROCS(0),
+		QueueDepth:   1024,
+		CacheEntries: 4,
+		CacheShards:  1,
+		Logger:       slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError})),
+	})
+	defer srv.Close()
+	h := srv.Handler()
+	issue := func(path, body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code
+	}
+
+	var tuples, probes []string
+	for _, sys := range []string{"si", "m3d"} {
+		for _, wl := range embench.Workloads() {
+			for _, g := range []string{"US", "Coal"} {
+				tuples = append(tuples, fmt.Sprintf(`{"system":%q,"workload":%q,"grid":%q}`, sys, wl.Name, g))
+			}
+			for _, g := range []string{"Solar", "Taiwan"} {
+				probes = append(probes, fmt.Sprintf(`{"system":%q,"workload":%q,"grid":%q}`, sys, wl.Name, g))
+			}
+		}
+	}
+	items := make([]string, batchSize)
+	for i := range items {
+		items[i] = tuples[i%len(tuples)]
+	}
+	flood := `{"items":[` + strings.Join(items, ",") + `]}`
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < flooders; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				issue("/v1/batch", flood)
+			}
+		}()
+	}
+	// Let the flood establish pool pressure before the first probe.
+	time.Sleep(250 * time.Millisecond)
+
+	var lats []time.Duration
+	errs := 0
+	deadline := time.Now().Add(window)
+	for i := 0; time.Now().Before(deadline); i++ {
+		start := time.Now()
+		if issue("/v1/evaluate", probes[i%len(probes)]) != http.StatusOK {
+			errs++
+			continue
+		}
+		lats = append(lats, time.Since(start))
+	}
+	close(stop)
+	wg.Wait()
+
+	if len(lats) < 5 {
+		t.Fatalf("only %d probes (%d errors) in %v; the scenario is not exercising the pool", len(lats), errs, window)
+	}
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	// Nearest-rank percentile in milliseconds.
+	pct := func(p int) float64 {
+		idx := (len(lats)*p + 99) / 100
+		if idx > 0 {
+			idx--
+		}
+		return lats[idx].Seconds() * 1e3
+	}
+	p50, p95, p99 := pct(50), pct(95), pct(99)
+	t.Logf("%d probes (%d errors): p50 %.3fms p95 %.3fms p99 %.3fms max %.3fms",
+		len(lats), errs, p50, p95, p99, lats[len(lats)-1].Seconds()*1e3)
+	budget := 5 * p95
+	if budget < 50 {
+		budget = 50
+	}
+	if p99 > budget {
+		t.Fatalf("probe p99 %.3fms exceeds budget %.3fms (p95 %.3fms, %d probes): interactive requests are waiting behind cold batches",
+			p99, budget, p95, len(lats))
 	}
 }

@@ -16,7 +16,7 @@ import (
 // request events (plus periodic counter snapshots) over Server-Sent
 // Events — the seed of the streaming API surface.
 
-// Recorder exposes the flight recorder (tests, the load harness).
+// Recorder exposes the flight recorder (tests, the repository benchmark).
 func (s *Server) Recorder() *flight.Recorder { return s.recorder }
 
 // handleFlight dumps the flight recorder as NDJSON, one Event per line,

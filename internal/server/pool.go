@@ -19,8 +19,8 @@ var ErrPoolClosed = errors.New("server: worker pool closed")
 // evaluations, likely-cached work) are always picked before bulk jobs
 // (cold batch fan-outs), so a 256-tuple cold batch can never put tens
 // of milliseconds of queue ahead of a 100µs request — the head-of-line
-// blocking BENCH_4 measured as a 141 ms batch-era p99 against a
-// 0.43 ms p95.
+// blocking once measured as a 141 ms batch-era p99 against a 0.43 ms
+// p95 (see CHANGES.md).
 type Class int
 
 const (
