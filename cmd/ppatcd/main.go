@@ -22,8 +22,9 @@
 //	GET  /healthz       readiness (503 while draining or store-degraded)
 //	GET  /livez         liveness (200 while the process is up)
 //	GET  /metrics       Prometheus-style counters and latency histograms
-//	                    (request + per-pipeline-stage + ppatcd_sweep_* +
-//	                    endpoint×disposition + slowest-request exemplars)
+//	                    (request + per-pipeline-stage run times from the
+//	                    stage memo + ppatcd_sweep_* + endpoint×disposition
+//	                    + slowest-request exemplars)
 //	GET  /v1/metrics/stream  Server-Sent Events: completed-request flight
 //	                    events plus periodic counter snapshots
 //	GET  /debug/flight  flight-recorder dump, NDJSON, one event per line
@@ -50,10 +51,11 @@
 // Observability: every request gets a trace ID (taken from an incoming
 // X-Request-ID header when present), echoed on the response and logged
 // with the request's latency and cache disposition. Appending ?trace=1
-// to an evaluation endpoint returns the stage-level span tree inline.
-// -pprof mounts net/http/pprof at /debug/pprof/. Logs are structured
-// slog records; -log-level and -log-format select verbosity and
-// text/JSON encoding.
+// to an evaluation endpoint returns the stage-level span tree inline;
+// those timings appear only there, since ppatcd_stage_seconds counts the
+// stage memo's runs. -pprof mounts net/http/pprof at /debug/pprof/.
+// Logs are structured slog records; -log-level and -log-format select
+// verbosity and text/JSON encoding.
 //
 // Every request additionally records a latency attribution — wall clock
 // split into queue_wait / cache_lookup / compute / encode / store_write

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -31,8 +32,16 @@ type ClockSweepPoint struct {
 // (less delay in the product) but raise power and force upsizing; slower
 // clocks waste lifetime leakage and refresh energy against a fixed
 // embodied cost. Evaluation reuses one workload run (cycle counts do not
-// depend on frequency in this in-order, single-cycle-memory system).
+// depend on frequency in this in-order, single-cycle-memory system) and
+// one eDRAM build: the sweep evaluates through a memo of its own, keyed
+// per clock only where the stage depends on it.
 func ClockSweep(sys SystemDesign, w embench.Workload, grid carbon.Grid, life units.Months, freqs []units.Frequency) ([]ClockSweepPoint, error) {
+	return clockSweep(NewMemo(), sys, w, grid, life, freqs)
+}
+
+// clockSweep is ClockSweep through memo; a nil memo runs every stage of
+// every point.
+func clockSweep(memo *Memo, sys SystemDesign, w embench.Workload, grid carbon.Grid, life units.Months, freqs []units.Frequency) ([]ClockSweepPoint, error) {
 	if len(freqs) == 0 {
 		return nil, errors.New("core: clock sweep needs frequencies")
 	}
@@ -45,7 +54,7 @@ func ClockSweep(sys SystemDesign, w embench.Workload, grid carbon.Grid, life uni
 		s := sys
 		s.Clock = f
 		pt := ClockSweepPoint{Clock: f}
-		res, err := Evaluate(s, w, grid)
+		res, err := memo.EvaluateContext(context.Background(), s, w, grid)
 		if err != nil {
 			// Timing-closure failures are sweep data, not errors.
 			if strings.Contains(err.Error(), "timing") {

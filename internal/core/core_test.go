@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -292,6 +293,35 @@ func TestClockSweepFindsCarbonOptimum(t *testing.T) {
 	out, err := FormatClockSweep("m3d", pts, "m3d", pts)
 	if err != nil || !strings.Contains(out, "fail") {
 		t.Errorf("formatted sweep missing failure marker: %v", err)
+	}
+}
+
+// TestClockSweepSharesOneRun pins the sweep's reuse: through its memo a
+// four-frequency sweep (one point failing timing) runs the ISA
+// simulation and the eDRAM build once, and its points equal the
+// per-frequency evaluations of the nil-memo reference.
+func TestClockSweepSharesOneRun(t *testing.T) {
+	w := embench.CRC32()
+	freqs := []units.Frequency{
+		units.Megahertz(300), units.Megahertz(500), units.Megahertz(600), units.Gigahertz(40),
+	}
+	m := NewMemo()
+	got, err := clockSweep(m, M3DSystem(), w, carbon.GridUS, 24, freqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := clockSweep(nil, M3DSystem(), w, carbon.GridUS, 24, freqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("memoized sweep differs from per-frequency evaluation:\n%+v\nvs\n%+v", got, want)
+	}
+	stats := m.Stats()
+	for _, stage := range []string{StageEmbench, StageEDRAM} {
+		if n := stats[stage].Misses; n != 1 {
+			t.Errorf("%s ran %d times, want 1", stage, n)
+		}
 	}
 }
 

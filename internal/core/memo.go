@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ppatc/internal/carbon"
 	"ppatc/internal/edram"
@@ -123,15 +124,44 @@ func (m *Memo) Stats() map[string]MemoStageStats {
 	return out
 }
 
+// StageRun is one stage execution the memo recorded: which stage ran
+// and how long it took.
+type StageRun struct {
+	Stage    string
+	Duration time.Duration
+}
+
+// StageRuns returns the memo's record of stage executions, one per
+// stored entry (cached errors included), grouped by stage in Stages()
+// order. Under a memo a stage runs only on a miss, so the runs of a
+// stage number exactly its Misses in Stats. Entries still running are
+// left out.
+func (m *Memo) StageRuns() []StageRun {
+	var runs []StageRun
+	for i, name := range Stages() {
+		m.entries[i].Range(func(_, v any) bool {
+			if e := v.(*memoEntry); e.done.Load() {
+				runs = append(runs, StageRun{Stage: name, Duration: e.dur})
+			}
+			return true
+		})
+	}
+	return runs
+}
+
 // memoEntry holds one stage evaluation. The mutex doubles as
 // single-flight: concurrent misses of the same key serialize, and all
 // but the first replay the winner's result. done is written under mu
-// but read without it, so memoHas never waits on a running stage.
+// but read without it, so memoHas never waits on a running stage; val,
+// err and dur are written before done is set, so a reader that sees
+// done also sees them.
 type memoEntry struct {
 	mu   sync.Mutex
 	done atomic.Bool
 	val  any
 	err  error
+	// dur is how long the stage ran.
+	dur time.Duration
 }
 
 // memoHas reports whether (stage, key) already holds a result (or a
@@ -158,7 +188,8 @@ func memoDo(m *Memo, stage int, key string, fn func() (any, error)) (any, error)
 // was already held instead of counting it as a replay. The leaf fan-out
 // fills the memo through it, so the stats read the same however many
 // fan-outs raced to fill a key: one miss per run, one hit per
-// evaluation that replays it.
+// evaluation that replays it. Under a memo this is the one place a stage
+// executes, so it is also where the run is timed for StageRuns.
 func memoFill(m *Memo, stage int, key string, fn func() (any, error)) (val any, hit bool, err error) {
 	if m == nil {
 		val, err = fn()
@@ -171,11 +202,12 @@ func memoFill(m *Memo, stage int, key string, fn func() (any, error)) (val any, 
 	if e.done.Load() {
 		return e.val, true, e.err
 	}
+	start := time.Now()
 	val, err = fn()
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		return val, false, err
 	}
-	e.val, e.err = val, err
+	e.val, e.err, e.dur = val, err, time.Since(start)
 	e.done.Store(true)
 	m.misses[stage].Add(1)
 	return val, false, err

@@ -121,9 +121,10 @@ func (e *Event) CheckTotal(tol float64) error {
 	return nil
 }
 
-// Breakdown is the computation-side slice of an attribution: the
+// Breakdown is the computation-side stage set, declared once: the
 // stages measured inside a single-flight computation, shared verbatim
-// with every coalesced waiter of that computation's leader.
+// with every coalesced waiter of that computation's leader, and,
+// embedded in Attribution, a request's running stage totals.
 type Breakdown struct {
 	QueueWaitNS   int64
 	CacheLookupNS int64
@@ -142,6 +143,43 @@ type Breakdown struct {
 	Remote bool
 }
 
+// Add folds o's stage durations into the breakdown; an Attribution
+// folds a computation's measured stages into its request this way.
+// Remote is not a duration and is left as it is.
+//
+//ppatc:hotpath
+func (b *Breakdown) Add(o Breakdown) {
+	b.QueueWaitNS += o.QueueWaitNS
+	b.CacheLookupNS += o.CacheLookupNS
+	b.ComputeNS += o.ComputeNS
+	b.PeerForwardNS += o.PeerForwardNS
+	b.EncodeNS += o.EncodeNS
+	b.StoreWriteNS += o.StoreWriteNS
+	b.OtherNS += o.OtherNS
+}
+
+// Sum is the total of every stage duration.
+//
+//ppatc:hotpath
+func (b Breakdown) Sum() int64 {
+	return b.QueueWaitNS + b.CacheLookupNS + b.ComputeNS + b.PeerForwardNS +
+		b.EncodeNS + b.StoreWriteNS + b.OtherNS
+}
+
+// Scale returns the stage durations multiplied by f, each truncated to
+// whole nanoseconds.
+func (b Breakdown) Scale(f float64) Breakdown {
+	return Breakdown{
+		QueueWaitNS:   int64(float64(b.QueueWaitNS) * f),
+		CacheLookupNS: int64(float64(b.CacheLookupNS) * f),
+		ComputeNS:     int64(float64(b.ComputeNS) * f),
+		PeerForwardNS: int64(float64(b.PeerForwardNS) * f),
+		EncodeNS:      int64(float64(b.EncodeNS) * f),
+		StoreWriteNS:  int64(float64(b.StoreWriteNS) * f),
+		OtherNS:       int64(float64(b.OtherNS) * f),
+	}
+}
+
 // Attribution accumulates one request's stage timings while it is in
 // flight; Finish seals it into an Event. The zero value is ready to
 // use. Attribution is owned by a single request goroutine and must not
@@ -157,15 +195,10 @@ type Attribution struct {
 	// ("interactive" or "bulk"; empty when it never reached the pool).
 	Class string
 
-	QueueWaitNS   int64
-	CacheLookupNS int64
-	ComputeNS     int64
-	PeerForwardNS int64
-	EncodeNS      int64
-	StoreWriteNS  int64
-	// OtherNS accumulates explicitly-unattributable measured time; Finish
-	// adds the end-to-end residual on top of it.
-	OtherNS int64
+	// Breakdown holds the stage timings. Its OtherNS accumulates
+	// explicitly-unattributable measured time; Finish adds the
+	// end-to-end residual on top of it.
+	Breakdown
 }
 
 // DispositionOrNone returns the disposition, or "NONE" when unset
@@ -179,19 +212,6 @@ func (a *Attribution) DispositionOrNone() string {
 	return a.Disposition
 }
 
-// AddBreakdown folds a computation's measured stages into the request.
-//
-//ppatc:hotpath
-func (a *Attribution) AddBreakdown(b Breakdown) {
-	a.QueueWaitNS += b.QueueWaitNS
-	a.CacheLookupNS += b.CacheLookupNS
-	a.ComputeNS += b.ComputeNS
-	a.PeerForwardNS += b.PeerForwardNS
-	a.EncodeNS += b.EncodeNS
-	a.StoreWriteNS += b.StoreWriteNS
-	a.OtherNS += b.OtherNS
-}
-
 // Finish seals the attribution into an Event: the unattributed
 // residual becomes the explicit "other" stage so the stage sum always
 // re-adds to the end-to-end total. start stamps the event; total is
@@ -200,9 +220,7 @@ func (a *Attribution) AddBreakdown(b Breakdown) {
 //ppatc:hotpath
 func (a *Attribution) Finish(start time.Time, total time.Duration, status int) Event {
 	totalNS := total.Nanoseconds()
-	attributed := a.QueueWaitNS + a.CacheLookupNS + a.ComputeNS + a.PeerForwardNS +
-		a.EncodeNS + a.StoreWriteNS + a.OtherNS
-	residual := totalNS - attributed
+	residual := totalNS - a.Sum()
 	if residual < 0 {
 		// Stage clocks read inside the computation can overshoot the
 		// outer clock by scheduling wobble; never report negative time.

@@ -11,12 +11,13 @@ func TestAttributionFinishPartitionsTotal(t *testing.T) {
 		RequestID:   "req-1",
 		Disposition: "MISS",
 		PoolDepth:   3,
-
-		QueueWaitNS:   100,
-		CacheLookupNS: 50,
-		ComputeNS:     700,
-		EncodeNS:      80,
-		StoreWriteNS:  20,
+		Breakdown: Breakdown{
+			QueueWaitNS:   100,
+			CacheLookupNS: 50,
+			ComputeNS:     700,
+			EncodeNS:      80,
+			StoreWriteNS:  20,
+		},
 	}
 	start := time.Unix(100, 0)
 	e := a.Finish(start, 1000*time.Nanosecond, 200)
@@ -38,7 +39,7 @@ func TestAttributionFinishPartitionsTotal(t *testing.T) {
 }
 
 func TestAttributionFinishClampsNegativeResidual(t *testing.T) {
-	a := Attribution{ComputeNS: 2000}
+	a := Attribution{Breakdown: Breakdown{ComputeNS: 2000}}
 	e := a.Finish(time.Unix(0, 0), 1000*time.Nanosecond, 200)
 	if e.OtherNS != 0 {
 		t.Fatalf("other = %d, want clamped 0", e.OtherNS)
@@ -53,8 +54,8 @@ func TestAttributionFinishClampsNegativeResidual(t *testing.T) {
 }
 
 func TestAttributionAddBreakdown(t *testing.T) {
-	a := Attribution{QueueWaitNS: 10}
-	a.AddBreakdown(Breakdown{QueueWaitNS: 5, ComputeNS: 100, EncodeNS: 7, StoreWriteNS: 3})
+	a := Attribution{Breakdown: Breakdown{QueueWaitNS: 10}}
+	a.Add(Breakdown{QueueWaitNS: 5, ComputeNS: 100, EncodeNS: 7, StoreWriteNS: 3})
 	if a.QueueWaitNS != 15 || a.ComputeNS != 100 || a.EncodeNS != 7 || a.StoreWriteNS != 3 {
 		t.Fatalf("breakdown not folded: %+v", a)
 	}

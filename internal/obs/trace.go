@@ -22,9 +22,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -204,33 +202,4 @@ func (t *Trace) exportLocked(spans []*Span) []SpanNode {
 		}
 	}
 	return out
-}
-
-// Walk visits every finished-or-not span in the trace, depth first,
-// reporting its name and duration. Handy for feeding span timings into
-// latency histograms.
-func (t *Trace) Walk(fn func(name string, dur time.Duration)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var rec func([]*Span)
-	rec = func(spans []*Span) {
-		for _, s := range spans {
-			fn(s.name, s.dur)
-			rec(s.children)
-		}
-	}
-	rec(t.roots)
-}
-
-// exportedTrace is the JSON envelope of WriteJSON.
-type exportedTrace struct {
-	ID    string     `json:"id"`
-	Spans []SpanNode `json:"spans"`
-}
-
-// WriteJSON emits the trace as an indented JSON object {id, spans}.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(exportedTrace{ID: t.ID, Spans: t.Tree()})
 }

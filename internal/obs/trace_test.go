@@ -224,20 +224,3 @@ func TestNewIDFormat(t *testing.T) {
 		t.Fatalf("consecutive IDs collide: %q", a)
 	}
 }
-
-func TestWriteJSON(t *testing.T) {
-	tr := NewTrace("json-run")
-	ctx := WithTrace(context.Background(), tr)
-	_, sp := StartSpan(ctx, "evaluate")
-	sp.End()
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{`"id": "json-run"`, `"name": "evaluate"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("JSON missing %q:\n%s", want, out)
-		}
-	}
-}

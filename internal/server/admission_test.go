@@ -27,7 +27,7 @@ func TestPoolClassPriority(t *testing.T) {
 
 	block := make(chan struct{})
 	started := make(chan struct{})
-	go p.DoClassMeasured(context.Background(), ClassBulk, func() { close(started); <-block })
+	go p.Do(context.Background(), ClassBulk, func() { close(started); <-block })
 	<-started // the single worker is now busy
 
 	var mu sync.Mutex
@@ -38,7 +38,7 @@ func TestPoolClassPriority(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.DoClassMeasured(context.Background(), ClassBulk, func() { record(ClassBulk) }); err != nil {
+			if _, err := p.Do(context.Background(), ClassBulk, func() { record(ClassBulk) }); err != nil {
 				t.Errorf("bulk job: %v", err)
 			}
 		}()
@@ -49,7 +49,7 @@ func TestPoolClassPriority(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := p.DoClassMeasured(context.Background(), ClassInteractive, func() { record(ClassInteractive) }); err != nil {
+		if _, err := p.Do(context.Background(), ClassInteractive, func() { record(ClassInteractive) }); err != nil {
 			t.Errorf("interactive job: %v", err)
 		}
 	}()
@@ -77,7 +77,7 @@ func TestPoolReservedInteractiveWorker(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
-		go p.DoClassMeasured(context.Background(), ClassBulk, func() {
+		go p.Do(context.Background(), ClassBulk, func() {
 			started <- struct{}{}
 			<-block
 		})
@@ -86,7 +86,7 @@ func TestPoolReservedInteractiveWorker(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.DoClassMeasured(context.Background(), ClassInteractive, func() {})
+		_, err := p.Do(context.Background(), ClassInteractive, func() {})
 		done <- err
 	}()
 	select {

@@ -206,7 +206,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		wg.Wait()
 		wallNS := time.Since(fanStart).Nanoseconds()
-		att.AddBreakdown(splitFanOut(itemAtts, wallNS))
+		att.Add(splitFanOut(itemAtts, wallNS))
 		// A dead client can't use partial results; report the
 		// cancellation (or timeout) as the batch outcome.
 		if err := ctx.Err(); err != nil {
@@ -231,21 +231,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // as mostly queue_wait, exactly the head-of-line signal ROADMAP item 2
 // needs.
 func splitFanOut(items []flight.Attribution, wallNS int64) flight.Breakdown {
-	var qw, cl, cp, en, sw int64
+	var sum flight.Breakdown
 	for i := range items {
-		qw += items[i].QueueWaitNS
-		cl += items[i].CacheLookupNS
-		cp += items[i].ComputeNS
-		en += items[i].EncodeNS
-		sw += items[i].StoreWriteNS
+		sum.Add(items[i].Breakdown)
 	}
-	sum := qw + cl + cp + en + sw
+	total := sum.Sum()
 	if wallNS <= 0 {
 		// The whole fan-out fit inside one timer tick; there is no wall
 		// time to attribute.
 		return flight.Breakdown{}
 	}
-	if sum <= 0 {
+	if total <= 0 {
 		// Zero denominator: every item completed without recording any
 		// stage time (an all-hit fan-out inside clock resolution).
 		// Dividing here would make the scale NaN and poison every stage;
@@ -253,25 +249,19 @@ func splitFanOut(items []flight.Attribution, wallNS int64) flight.Breakdown {
 		// partition invariant (stages re-add to the total) still holds.
 		return flight.Breakdown{OtherNS: wallNS}
 	}
-	scale := float64(wallNS) / float64(sum)
+	scale := float64(wallNS) / float64(total)
 	if scale > 1 {
 		// Items accounted for less than the wall clock (scheduling
 		// overhead); never inflate stages — the difference lands in
 		// "other".
 		scale = 1
 	}
-	bd := flight.Breakdown{
-		QueueWaitNS:   int64(float64(qw) * scale),
-		CacheLookupNS: int64(float64(cl) * scale),
-		ComputeNS:     int64(float64(cp) * scale),
-		EncodeNS:      int64(float64(en) * scale),
-		StoreWriteNS:  int64(float64(sw) * scale),
-	}
+	bd := sum.Scale(scale)
 	// Truncation and the scale clamp leave the split short of the wall
 	// clock; report the shortfall explicitly instead of leaving it to
 	// the end-to-end residual.
-	if short := wallNS - (bd.QueueWaitNS + bd.CacheLookupNS + bd.ComputeNS + bd.EncodeNS + bd.StoreWriteNS); short > 0 {
-		bd.OtherNS = short
+	if short := wallNS - bd.Sum(); short > 0 {
+		bd.OtherNS += short
 	}
 	return bd
 }

@@ -58,7 +58,6 @@ func (s *Server) StartCluster(nodeID, advertise string, join []string) error {
 		ID:             nodeID,
 		Advertise:      advertise,
 		GossipInterval: s.cfg.ClusterGossipInterval,
-		PeerTTL:        s.cfg.ClusterPeerTTL,
 		Logger:         s.log,
 	}, join)
 	if err != nil {

@@ -240,6 +240,41 @@ func TestCacheHitAllocBudget(t *testing.T) {
 	}
 }
 
+// TestWhatIfMissAllocBudget guards the daemon's cold path: a /v1/tcdp
+// request at a new lifetime misses the response cache but replays every
+// pipeline stage from the warm stage memo, so what it allocates is the
+// serving overhead (request, pool round trip, cache and store write,
+// flight recording) plus the evaluation assembly, the tCDP arithmetic
+// and its encoding. A miss measures 1,832 allocations (go1.24.0). The
+// budget leaves a margin of 8, below the 16 a per-miss span tree once
+// cost here, so per-miss telemetry that creeps back fails this test.
+func TestWhatIfMissAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	srv := New(quietConfig())
+	defer srv.Close()
+	h := srv.Handler()
+	months := 24
+	miss := func() {
+		months++
+		r := httptest.NewRequest(http.MethodPost, "/v1/tcdp",
+			strings.NewReader(fmt.Sprintf(`{"workload":"crc32","months":%d}`, months)))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "MISS" {
+			t.Errorf("not a cache miss: %d %q", w.Code, w.Header().Get("X-Cache"))
+		}
+	}
+	miss() // warms the stage memo
+	allocs := testing.AllocsPerRun(20, miss)
+	const budget = 1840
+	if allocs > budget {
+		t.Errorf("warm what-if miss allocates %.0f times, budget %d", allocs, budget)
+	}
+	t.Logf("warm what-if miss: %.0f allocs", allocs)
+}
+
 // BenchmarkEvaluateCacheHit is the repeatable hot-path measurement:
 //
 //	go test ./internal/server/ -run xxx -bench EvaluateCacheHit -benchmem

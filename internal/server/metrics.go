@@ -15,13 +15,13 @@ import (
 // obs.Registry so the CLI, daemon, and any future backend declare their
 // instruments against one implementation. It keeps per-endpoint request
 // counters and latency histograms, the cache/coalescing/backpressure
-// counters, and per-pipeline-stage latency histograms fed from trace
-// spans. All methods are safe for concurrent use.
+// counters, and per-pipeline-stage run-time histograms read from the
+// stage memo's record of its runs. All methods are safe for concurrent
+// use.
 type Metrics struct {
 	reg         *obs.Registry
 	requests    *obs.CounterVec
 	latency     *obs.HistogramVec
-	stages      *obs.HistogramVec
 	disposition *obs.HistogramVec2
 	// queueWait is the worker-pool queue wait by admission class
 	// (interactive/bulk) — the per-class head-of-line signal the
@@ -73,9 +73,10 @@ type Metrics struct {
 	flightDropped         func() int64
 	streamSubs            func() int64
 	clusterPeers          func() int
-	// memoStats reads the stage memo's per-stage counters, rendered by
-	// WriteTo as ppatcd_stage_memo_{hits,misses}_total.
-	memoStats func() map[string]core.MemoStageStats
+	// memo is the server's stage memo. WriteTo renders its record of
+	// stage runs as ppatcd_stage_seconds and its counters as
+	// ppatcd_stage_memo_{hits,misses}_total.
+	memo *core.Memo
 }
 
 // slowExemplar is one endpoint × disposition pair's worst request.
@@ -103,7 +104,7 @@ func NewMetrics() *Metrics {
 		flightDropped:         func() int64 { return 0 },
 		streamSubs:            func() int64 { return 0 },
 		clusterPeers:          func() int { return 0 },
-		memoStats:             func() map[string]core.MemoStageStats { return nil },
+		memo:                  core.NewMemo(),
 	}
 	m.requests = reg.CounterVec("ppatcd_requests_total", "Requests served, by endpoint.", "endpoint")
 	m.CacheHits = reg.Counter("ppatcd_cache_hits_total", "Result-cache hits.")
@@ -124,7 +125,6 @@ func NewMetrics() *Metrics {
 	m.disposition = reg.HistogramVec2("ppatcd_request_disposition_seconds",
 		"Request latency, by endpoint and cache disposition (HIT/MISS/COALESCED/STORE/BYPASS/NONE).",
 		"endpoint", "disposition", nil)
-	m.stages = reg.HistogramVec("ppatcd_stage_seconds", "Pipeline stage latency, by stage.", "stage", nil)
 	reg.GaugeFunc("ppatcd_flight_dropped_total", "Flight-recorder events dropped to slot contention.",
 		func() float64 { return float64(m.flightDropped()) })
 	reg.GaugeFunc("ppatcd_stream_subscribers", "Live /v1/metrics/stream subscriptions.",
@@ -157,7 +157,7 @@ func (m *Metrics) Observe(endpoint string, d time.Duration) {
 // ObserveDisposition records one served request on the
 // endpoint × disposition latency surface — fed from every request,
 // cache hits and coalesced requests included (the plain stage
-// histograms only see cache-miss computations) — and keeps the
+// histograms only see stage-memo runs) — and keeps the
 // worst-latency request ID as an exemplar.
 //
 //ppatc:hotpath
@@ -200,36 +200,16 @@ func (m *Metrics) Requests(endpoint string) int64 {
 	return m.requests.With(endpoint).Load()
 }
 
-// ObserveStages walks an evaluation trace and feeds every pipeline-stage
-// span (embench, edram, synth, floorplan, carbon) into the per-stage
-// latency histograms. Cache hits carry no trace, so only real
-// computations contribute.
-func (m *Metrics) ObserveStages(tr *obs.Trace) {
-	if tr == nil {
-		return
-	}
-	known := make(map[string]bool, 5)
-	for _, s := range core.Stages() {
-		known[s] = true
-	}
-	tr.Walk(func(name string, d time.Duration) {
-		if known[name] {
-			m.stages.With(name).Observe(d)
-		}
-	})
-}
-
-// StageCount reports the per-stage histogram's observation count (used
-// by tests).
-func (m *Metrics) StageCount(stage string) int64 {
-	return m.stages.With(stage).Count()
-}
-
 // WriteTo renders the registry in Prometheus text exposition format,
-// followed by the stage-memo counters and the slowest-request exemplar
-// gauges.
+// followed by the stage run-time histograms, the stage-memo counters and
+// the slowest-request exemplar gauges.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	n, err := m.reg.WriteTo(w)
+	if err != nil {
+		return n, err
+	}
+	sn, err := m.writeStageSeconds(w)
+	n += sn
 	if err != nil {
 		return n, err
 	}
@@ -242,12 +222,29 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	return n + en, err
 }
 
+// writeStageSeconds renders the stage memo's record of its runs as the
+// per-stage run-time histograms, built afresh on every scrape: the memo
+// owns the record, and a stage runs only on a memo miss, so each
+// stage's _count equals its ppatcd_stage_memo_misses_total. Every stage
+// renders, with zero runs until it first runs.
+func (m *Metrics) writeStageSeconds(w io.Writer) (int64, error) {
+	reg := obs.NewRegistry()
+	vec := reg.HistogramVec("ppatcd_stage_seconds", "Pipeline stage run time, by stage: one observation per stage the memo ran.", "stage", nil)
+	for _, stage := range core.Stages() {
+		vec.With(stage)
+	}
+	for _, run := range m.memo.StageRuns() {
+		vec.With(run.Stage).Observe(run.Duration)
+	}
+	return reg.WriteTo(w)
+}
+
 // writeMemoStats renders the stage memo's hit and miss counters, one
 // line per core.Stages() name: a miss is a stage that actually ran, a
 // hit one replayed from the memo. The memo owns the counts, so they are
 // read at render time rather than mirrored into registry counters.
 func (m *Metrics) writeMemoStats(w io.Writer) (int64, error) {
-	stats := m.memoStats()
+	stats := m.memo.Stats()
 	var n int64
 	for _, fam := range []struct {
 		name, help string

@@ -110,14 +110,78 @@ func TestStageLatencyHistogramsExposed(t *testing.T) {
 		if !strings.Contains(body, line) {
 			t.Errorf("/metrics missing %q after one evaluation", line)
 		}
-		if got := srv.metrics.StageCount(stage); got != 1 {
-			t.Errorf("StageCount(%q) = %d, want 1", stage, got)
+		if got := stageRunCount(srv, stage); got != 1 {
+			t.Errorf("stageRunCount(%q) = %d, want 1", stage, got)
 		}
 	}
 	// A cache hit computes nothing, so stage counts must not move.
 	post(t, ts, "/v1/evaluate", evalBody)
-	if got := srv.metrics.StageCount(core.StageEmbench); got != 1 {
+	if got := stageRunCount(srv, core.StageEmbench); got != 1 {
 		t.Errorf("cache hit advanced stage histogram to %d", got)
+	}
+}
+
+// stageRunCount counts the runs of stage in srv's stage-memo record.
+func stageRunCount(srv *Server, stage string) int64 {
+	var n int64
+	for _, run := range srv.memo.StageRuns() {
+		if run.Stage == stage {
+			n++
+		}
+	}
+	return n
+}
+
+// scrapeStageCounts reads each stage's ppatcd_stage_seconds_count and
+// ppatcd_stage_memo_misses_total from one /metrics scrape.
+func scrapeStageCounts(t *testing.T, ts *httptest.Server) (runs, misses map[string]int64) {
+	t.Helper()
+	_, b := get(t, ts, "/metrics")
+	runs, misses = map[string]int64{}, map[string]int64{}
+	for _, line := range strings.Split(string(b), "\n") {
+		var stage string
+		var n int64
+		if _, err := fmt.Sscanf(line, "ppatcd_stage_seconds_count{stage=%q} %d", &stage, &n); err == nil {
+			runs[stage] = n
+		} else if _, err := fmt.Sscanf(line, "ppatcd_stage_memo_misses_total{stage=%q} %d", &stage, &n); err == nil {
+			misses[stage] = n
+		}
+	}
+	return runs, misses
+}
+
+// TestStageSecondsCountEqualsMemoMisses pins the one stage clock: the
+// stage histograms are read from the memo's record of its runs, so after
+// cold evaluate, tcdp and suite requests each stage's observation count
+// equals its memo misses, and a ?trace=1 request, which runs every stage
+// outside the memo, moves neither.
+func TestStageSecondsCountEqualsMemoMisses(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, q := range []memoRequest{
+		{"/v1/evaluate", evalBody},
+		{"/v1/tcdp", `{"workload":"huff","grid":"Coal"}`},
+		{"/v1/suite", `{"grid":"Solar"}`},
+	} {
+		if resp, b := post(t, ts, q.path, q.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", q.path, resp.StatusCode, b)
+		}
+	}
+	runs, misses := scrapeStageCounts(t, ts)
+	for _, stage := range core.Stages() {
+		if misses[stage] == 0 {
+			t.Errorf("%s: no memo miss after cold requests", stage)
+		}
+		if runs[stage] != misses[stage] {
+			t.Errorf("%s: ppatcd_stage_seconds_count %d, memo misses %d", stage, runs[stage], misses[stage])
+		}
+	}
+
+	if resp, b := post(t, ts, "/v1/evaluate?trace=1", `{"system":"m3d","workload":"edn"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("traced: status %d: %s", resp.StatusCode, b)
+	}
+	runs2, misses2 := scrapeStageCounts(t, ts)
+	if fmt.Sprint(runs2) != fmt.Sprint(runs) || fmt.Sprint(misses2) != fmt.Sprint(misses) {
+		t.Errorf("traced request moved the stage counts: runs %v -> %v, misses %v -> %v", runs, runs2, misses, misses2)
 	}
 }
 

@@ -182,7 +182,7 @@ func TestRestartServesFromStore(t *testing.T) {
 	if got := m.CacheMisses.Load(); got != 0 {
 		t.Errorf("restarted daemon had %d cache misses, want 0 (warm cache)", got)
 	}
-	if got := m.StageCount("embench"); got != 0 {
+	if got := stageRunCount(srv2, "embench"); got != 0 {
 		t.Errorf("restarted daemon ran %d embench stages, want 0", got)
 	}
 }

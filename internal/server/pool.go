@@ -146,27 +146,16 @@ func (p *Pool) run(j *job, c Class) {
 	close(j.done)
 }
 
-// Do runs fn on a pool worker as interactive work and blocks until it
-// completes or ctx is done. A full queue fails fast with ErrQueueFull.
-// When ctx expires while the job is still queued, the job is abandoned
-// (the worker skips it).
-func (p *Pool) Do(ctx context.Context, fn func()) error {
-	_, err := p.DoClassMeasured(ctx, ClassInteractive, fn)
-	return err
-}
-
-// DoMeasured is Do plus the job's measured queue wait — how long it sat
-// behind other work before a worker picked it up, the raw signal for
-// head-of-line-blocking attribution. The wait is only meaningful when
-// err is nil (an abandoned or rejected job reports 0).
-func (p *Pool) DoMeasured(ctx context.Context, fn func()) (time.Duration, error) {
-	return p.DoClassMeasured(ctx, ClassInteractive, fn)
-}
-
-// DoClassMeasured is DoMeasured on an explicit admission class. Bulk
-// jobs queue behind every interactive job; interactive jobs queue only
-// behind each other.
-func (p *Pool) DoClassMeasured(ctx context.Context, c Class, fn func()) (time.Duration, error) {
+// Do runs fn on a pool worker under admission class c and blocks until
+// it completes or ctx is done. Bulk jobs queue behind every interactive
+// job; interactive jobs queue only behind each other. A full queue fails
+// fast with ErrQueueFull. When ctx expires while the job is still
+// queued, the job is abandoned (the worker skips it). wait is the job's
+// measured queue wait — how long it sat behind other work before a
+// worker picked it up, the raw signal for head-of-line-blocking
+// attribution; it is only meaningful when err is nil (an abandoned or
+// rejected job reports 0).
+func (p *Pool) Do(ctx context.Context, c Class, fn func()) (wait time.Duration, err error) {
 	if c < 0 || c >= numClasses {
 		c = ClassInteractive
 	}

@@ -20,7 +20,7 @@ func TestPoolRunsJobs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := p.Do(context.Background(), func() { ran.Add(1) }); err != nil && !errors.Is(err, ErrQueueFull) {
+			if _, err := p.Do(context.Background(), ClassInteractive, func() { ran.Add(1) }); err != nil && !errors.Is(err, ErrQueueFull) {
 				t.Errorf("Do: %v", err)
 			}
 		}()
@@ -37,12 +37,15 @@ func TestPoolQueueFull(t *testing.T) {
 
 	block := make(chan struct{})
 	started := make(chan struct{})
-	go p.Do(context.Background(), func() { close(started); <-block })
+	go p.Do(context.Background(), ClassInteractive, func() { close(started); <-block })
 	<-started // the single worker is now busy
 
 	// Fill the queue slot, then the next submission must be rejected.
 	queued := make(chan error, 1)
-	go func() { queued <- p.Do(context.Background(), func() {}) }()
+	go func() {
+		_, err := p.Do(context.Background(), ClassInteractive, func() {})
+		queued <- err
+	}()
 	// Wait until the queued job occupies the slot.
 	for i := 0; p.QueueDepth() == 0 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
@@ -50,7 +53,7 @@ func TestPoolQueueFull(t *testing.T) {
 	if d := p.QueueDepth(); d != 1 {
 		t.Fatalf("queue depth = %d, want 1", d)
 	}
-	if err := p.Do(context.Background(), func() {}); !errors.Is(err, ErrQueueFull) {
+	if _, err := p.Do(context.Background(), ClassInteractive, func() {}); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("Do with full queue = %v, want ErrQueueFull", err)
 	}
 
@@ -66,14 +69,17 @@ func TestPoolSkipsCanceledJobs(t *testing.T) {
 
 	block := make(chan struct{})
 	started := make(chan struct{})
-	go p.Do(context.Background(), func() { close(started); <-block })
+	go p.Do(context.Background(), ClassInteractive, func() { close(started); <-block })
 	<-started
 
 	// Queue a job, then cancel it before the worker can pick it up.
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Bool
 	errc := make(chan error, 1)
-	go func() { errc <- p.Do(ctx, func() { ran.Store(true) }) }()
+	go func() {
+		_, err := p.Do(ctx, ClassInteractive, func() { ran.Store(true) })
+		errc <- err
+	}()
 	for i := 0; p.QueueDepth() == 0 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
@@ -92,12 +98,12 @@ func TestPoolClose(t *testing.T) {
 	p := NewPool(2, 2)
 	var ran atomic.Int64
 	for i := 0; i < 2; i++ {
-		go p.Do(context.Background(), func() { ran.Add(1) })
+		go p.Do(context.Background(), ClassInteractive, func() { ran.Add(1) })
 	}
 	time.Sleep(10 * time.Millisecond)
 	p.Close()
 	p.Close() // idempotent
-	if err := p.Do(context.Background(), func() {}); !errors.Is(err, ErrPoolClosed) {
+	if _, err := p.Do(context.Background(), ClassInteractive, func() {}); !errors.Is(err, ErrPoolClosed) {
 		t.Errorf("Do after Close = %v, want ErrPoolClosed", err)
 	}
 }

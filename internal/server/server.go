@@ -83,9 +83,6 @@ type Config struct {
 	// ClusterGossipInterval paces cluster membership gossip (default 1s;
 	// only meaningful after StartCluster).
 	ClusterGossipInterval time.Duration
-	// ClusterPeerTTL declares a silent peer dead (default 5× the gossip
-	// interval).
-	ClusterPeerTTL time.Duration
 	// ClusterLeaseTTL bounds one distributed-sweep range lease; a worker
 	// silent longer than this loses the range to work-stealing (default
 	// 30s).
@@ -97,8 +94,6 @@ type Config struct {
 	// FlightRecentSlots sizes the flight recorder's recent-events ring
 	// (rounded up to a power of two; default 1024).
 	FlightRecentSlots int
-	// FlightSlowSlots sizes the ring retaining slow requests (default 256).
-	FlightSlowSlots int
 	// SlowThreshold marks requests at or above this latency as slow:
 	// they are retained in the slow ring and logged at Warn (default
 	// 100ms; negative disables).
@@ -145,9 +140,6 @@ func (c Config) withDefaults() Config {
 	if c.FlightRecentSlots <= 0 {
 		c.FlightRecentSlots = 1024
 	}
-	if c.FlightSlowSlots <= 0 {
-		c.FlightSlowSlots = 256
-	}
 	if c.SlowThreshold == 0 {
 		c.SlowThreshold = 100 * time.Millisecond
 	}
@@ -156,6 +148,10 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// flightSlowSlots sizes the flight recorder's ring retaining slow
+// requests.
+const flightSlowSlots = 256
 
 // Server is the PPAtC evaluation service.
 type Server struct {
@@ -206,8 +202,8 @@ func New(cfg Config) *Server {
 		memo:    core.NewMemo(),
 		started: time.Now(),
 	}
-	s.metrics.memoStats = s.memo.Stats
-	s.recorder = flight.NewRecorder(cfg.FlightRecentSlots, cfg.FlightSlowSlots, cfg.SlowThreshold)
+	s.metrics.memo = s.memo
+	s.recorder = flight.NewRecorder(cfg.FlightRecentSlots, flightSlowSlots, cfg.SlowThreshold)
 	s.encodeStaticBodies()
 	s.base, s.cancel = context.WithCancel(context.Background())
 	s.metrics.queueDepth = s.pool.QueueDepth
@@ -474,32 +470,10 @@ func (s *Server) compute(ctx context.Context, key string, work workFn, att *flig
 		}
 		buf := getEncodeBuf()
 		defer putEncodeBuf(buf)
-		var werr error
-		var encodeNS int64
-		bd := flight.Breakdown{PeerForwardNS: forwardNS}
-		// Every real computation runs under a trace so its stage spans
-		// feed the per-stage latency histograms (a stage the memo replays
-		// did not run and emits no span); the trace itself is discarded
-		// (the ?trace=1 path returns one to the caller).
-		tr := obs.NewTrace("")
-		tctx := obs.WithTrace(jctx, tr)
-		workStart := time.Now()
-		wait, perr := s.pool.DoClassMeasured(jctx, class, func() { encodeNS, werr = work(tctx, s.memo, buf) })
-		if perr != nil {
-			return nil, bd, perr
-		}
-		// The pool-measured wait is queue_wait; what the worker actually
-		// ran splits into compute and the workFn's self-reported encode.
-		s.metrics.ObserveQueueWait(class.String(), wait)
-		bd.QueueWaitNS = wait.Nanoseconds()
-		bd.ComputeNS = time.Since(workStart).Nanoseconds() - bd.QueueWaitNS - encodeNS
-		if bd.ComputeNS < 0 {
-			bd.ComputeNS = 0
-		}
-		bd.EncodeNS = encodeNS
-		s.metrics.ObserveStages(tr)
-		if werr != nil {
-			return nil, bd, werr
+		bd, err := s.runWork(jctx, class, work, s.memo, buf)
+		bd.PeerForwardNS = forwardNS
+		if err != nil {
+			return nil, bd, err
 		}
 		// Put copies buf's bytes and returns the cache-owned copy; the
 		// buffer itself goes straight back to the pool. The stored copy
@@ -511,7 +485,7 @@ func (s *Server) compute(ctx context.Context, key string, work workFn, att *flig
 		bd.StoreWriteNS = time.Since(storeStart).Nanoseconds()
 		return stored, bd, nil
 	})
-	att.AddBreakdown(bd)
+	att.Add(bd)
 	if shared {
 		s.metrics.Coalesced.Add(1)
 		return b, "COALESCED", err
@@ -594,25 +568,12 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, work workFn
 	jctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	tr := obs.NewTrace(rid)
-	tctx := obs.WithTrace(jctx, tr)
 	buf := getEncodeBuf()
 	defer putEncodeBuf(buf)
-	var werr error
-	var encodeNS int64
-	workStart := time.Now()
-	wait, perr := s.pool.DoMeasured(jctx, func() { encodeNS, werr = work(tctx, nil, buf) })
-	if perr != nil {
-		s.writeComputeError(w, perr)
-		return
-	}
-	att.QueueWaitNS += wait.Nanoseconds()
-	att.EncodeNS += encodeNS
-	if c := time.Since(workStart).Nanoseconds() - wait.Nanoseconds() - encodeNS; c > 0 {
-		att.ComputeNS += c
-	}
-	s.metrics.ObserveStages(tr)
-	if werr != nil {
-		s.writeComputeError(w, werr)
+	bd, err := s.runWork(obs.WithTrace(jctx, tr), ClassInteractive, work, nil, buf)
+	att.Add(bd)
+	if err != nil {
+		s.writeComputeError(w, err)
 		return
 	}
 	w.Header().Set("X-Cache", "BYPASS")
@@ -621,6 +582,26 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, work workFn
 		Result:    buf.Bytes(),
 		Trace:     tracedTrace{ID: tr.ID, Spans: tr.Tree()},
 	})
+}
+
+// runWork is the one way a computation reaches the worker pool: it
+// admits work on class, runs it into buf through memo (nil: every stage
+// runs fresh), and splits the wall time it took into queue_wait (the
+// pool-measured wait, also observed on the per-class histogram),
+// compute, and the workFn's self-reported encode. A rejected or
+// abandoned job returns a zero breakdown.
+func (s *Server) runWork(ctx context.Context, class Class, work workFn, memo *core.Memo, buf *bytes.Buffer) (flight.Breakdown, error) {
+	var werr error
+	var encodeNS int64
+	start := time.Now()
+	wait, err := s.pool.Do(ctx, class, func() { encodeNS, werr = work(ctx, memo, buf) })
+	if err != nil {
+		return flight.Breakdown{}, err
+	}
+	s.metrics.ObserveQueueWait(class.String(), wait)
+	bd := flight.Breakdown{QueueWaitNS: wait.Nanoseconds(), EncodeNS: encodeNS}
+	bd.ComputeNS = max(time.Since(start).Nanoseconds()-bd.QueueWaitNS-encodeNS, 0)
+	return bd, werr
 }
 
 // evaluateRequest asks for one full PPAtC evaluation.
