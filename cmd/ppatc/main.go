@@ -19,7 +19,7 @@
 //	diecount die-per-wafer estimates for both designs
 //	wafermap ASCII wafer map (dies magnified)
 //	montecarlo sampled robustness of the tCDP verdict
-//	sweep    design-space sweep from a JSON spec (-spec, -p, -store-dir, -no-memo)
+//	sweep    design-space sweep from a JSON spec (-spec, -p, -store-dir)
 //	report   everything, in order (-markdown for a markdown artifact)
 //
 // Observability flags: -trace <file> writes a Chrome trace-event file
@@ -65,7 +65,6 @@ func run(args []string) error {
 	specPath := fs.String("spec", "", "for sweep: JSON sweep spec file ('-' reads stdin)")
 	parallel := fs.Int("p", 0, "for sweep: worker count (default GOMAXPROCS; any value gives identical results)")
 	storeDir := fs.String("store-dir", "", "for sweep: result-store directory — finished points persist there, and interrupted sweeps resume from it")
-	noMemo := fs.Bool("no-memo", false, "for sweep: disable stage memoization (identical output, slower)")
 	if len(args) == 0 {
 		fs.Usage()
 		return fmt.Errorf("missing experiment (fig2c fig2d table1 table2 fig4 fig5 fig6a fig6b suite score gases diecount wafermap montecarlo sweep report)")
@@ -115,12 +114,16 @@ func run(args []string) error {
 		}
 	}
 
+	// memo serves every pair evaluation of one command: `table2
+	// -workload all` then runs each design-only stage once, not once per
+	// workload.
+	memo := core.NewMemo()
 	table2 := func(w embench.Workload) (*core.PPAtC, *core.PPAtC, error) {
-		si, m3d, text, err := core.Table2Context(ctx, w, grid)
+		si, m3d, err := memo.EvaluatePairContext(ctx, w, grid)
 		if err != nil {
 			return nil, nil, err
 		}
-		fmt.Print(text)
+		fmt.Print(core.FormatTable2(si, m3d))
 		printProvenance(si, m3d)
 		return si, m3d, nil
 	}
@@ -169,7 +172,7 @@ func run(args []string) error {
 		if *asJSON {
 			var all []*core.PPAtC
 			for _, w := range ws {
-				si, m3d, _, err := core.Table2Context(ctx, w, grid)
+				si, m3d, err := memo.EvaluatePairContext(ctx, w, grid)
 				if err != nil {
 					return err
 				}
@@ -232,10 +235,19 @@ func run(args []string) error {
 			return core.WriteSuiteJSON(os.Stdout, rows)
 		}
 		fmt.Print(core.FormatSuite(rows))
-	case "diecount":
-		return dieCount(grid, *workload)
-	case "wafermap":
-		return waferMap(grid, *workload)
+	case "diecount", "wafermap":
+		w, err := embench.ByName(*workload)
+		if err != nil {
+			return err
+		}
+		si, m3d, err := memo.EvaluatePairContext(ctx, w, grid)
+		if err != nil {
+			return err
+		}
+		if cmd == "diecount" {
+			return dieCount(si, m3d)
+		}
+		return waferMap(si, m3d)
 	case "montecarlo":
 		w, err := embench.ByName(*workload)
 		if err != nil {
@@ -252,7 +264,7 @@ func run(args []string) error {
 		}
 		fmt.Print(res.Format())
 	case "sweep":
-		return runSweep(ctx, *specPath, *parallel, *storeDir, *noMemo)
+		return runSweep(ctx, *specPath, *parallel, *storeDir)
 	case "report":
 		if *markdown {
 			w, err := embench.ByName(*workload)
@@ -320,16 +332,8 @@ func selectWorkloads(name string) ([]embench.Workload, error) {
 
 // waferMap renders ASCII wafer maps for both designs (at a magnified die
 // size so the structure is visible in a terminal).
-func waferMap(grid carbon.Grid, workload string) error {
-	w, err := embench.ByName(workload)
-	if err != nil {
-		return err
-	}
-	for _, sys := range []core.SystemDesign{core.AllSiSystem(), core.M3DSystem()} {
-		res, err := core.Evaluate(sys, w, grid)
-		if err != nil {
-			return err
-		}
+func waferMap(results ...*core.PPAtC) error {
+	for _, res := range results {
 		// Magnify the die 40× so individual cells are visible.
 		die := wafer.Die{
 			Width:   res.DieWidth * 40,
@@ -340,22 +344,14 @@ func waferMap(grid carbon.Grid, workload string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s (die magnified 40×; real count %d):\n%s\n", sys.Name, res.DiesPerWafer, m)
+		fmt.Printf("%s (die magnified 40×; real count %d):\n%s\n", res.System, res.DiesPerWafer, m)
 	}
 	return nil
 }
 
-func dieCount(grid carbon.Grid, workload string) error {
-	w, err := embench.ByName(workload)
-	if err != nil {
-		return err
-	}
+func dieCount(results ...*core.PPAtC) error {
 	spec := wafer.Paper300mm()
-	for _, sys := range []core.SystemDesign{core.AllSiSystem(), core.M3DSystem()} {
-		res, err := core.Evaluate(sys, w, grid)
-		if err != nil {
-			return err
-		}
+	for _, res := range results {
 		die := wafer.Die{Width: res.DieWidth, Height: res.DieHeight, Spacing: units.Millimeters(0.1)}
 		formula, err := wafer.EstimateFormula(spec, die)
 		if err != nil {
@@ -366,7 +362,7 @@ func dieCount(grid carbon.Grid, workload string) error {
 			return err
 		}
 		fmt.Printf("%-20s die %.0f×%.0f µm: formula %d, geometric %d, yield %.0f%% → %d good\n",
-			sys.Name, die.Width.Micrometers(), die.Height.Micrometers(),
+			res.System, die.Width.Micrometers(), die.Height.Micrometers(),
 			formula, geo, res.Yield*100, int(float64(geo)*res.Yield))
 	}
 	return nil

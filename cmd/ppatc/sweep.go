@@ -18,7 +18,7 @@ import (
 // so stdout stays machine-readable. With -store-dir, completed points
 // persist to a segment store across interrupts: Ctrl-C, re-run, and the
 // sweep resumes — as does any later sweep sharing points with it.
-func runSweep(ctx context.Context, specPath string, workers int, storeDir string, noMemo bool) error {
+func runSweep(ctx context.Context, specPath string, workers int, storeDir string) error {
 	if specPath == "" {
 		return errors.New("sweep needs -spec <file> (or -spec - for stdin)")
 	}
@@ -48,7 +48,6 @@ func runSweep(ctx context.Context, specPath string, workers int, storeDir string
 	defer out.Flush()
 	opts := dse.Options{
 		Workers: workers,
-		NoMemo:  noMemo,
 		OnResult: func(r dse.Result) error {
 			line, err := r.MarshalLine()
 			if err != nil {

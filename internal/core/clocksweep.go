@@ -36,12 +36,11 @@ type ClockSweepPoint struct {
 // one eDRAM build: the sweep evaluates through a memo of its own, keyed
 // per clock only where the stage depends on it.
 func ClockSweep(sys SystemDesign, w embench.Workload, grid carbon.Grid, life units.Months, freqs []units.Frequency) ([]ClockSweepPoint, error) {
-	return clockSweep(NewMemo(), sys, w, grid, life, freqs)
+	return NewMemo().ClockSweep(sys, w, grid, life, freqs)
 }
 
-// clockSweep is ClockSweep through memo; a nil memo runs every stage of
-// every point.
-func clockSweep(memo *Memo, sys SystemDesign, w embench.Workload, grid carbon.Grid, life units.Months, freqs []units.Frequency) ([]ClockSweepPoint, error) {
+// ClockSweep is core.ClockSweep through the memo.
+func (m *Memo) ClockSweep(sys SystemDesign, w embench.Workload, grid carbon.Grid, life units.Months, freqs []units.Frequency) ([]ClockSweepPoint, error) {
 	if len(freqs) == 0 {
 		return nil, errors.New("core: clock sweep needs frequencies")
 	}
@@ -54,7 +53,7 @@ func clockSweep(memo *Memo, sys SystemDesign, w embench.Workload, grid carbon.Gr
 		s := sys
 		s.Clock = f
 		pt := ClockSweepPoint{Clock: f}
-		res, err := memo.EvaluateContext(context.Background(), s, w, grid)
+		res, err := m.EvaluateContext(context.Background(), s, w, grid)
 		if err != nil {
 			// Timing-closure failures are sweep data, not errors.
 			if strings.Contains(err.Error(), "timing") {

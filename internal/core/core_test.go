@@ -298,21 +298,25 @@ func TestClockSweepFindsCarbonOptimum(t *testing.T) {
 
 // TestClockSweepSharesOneRun pins the sweep's reuse: through its memo a
 // four-frequency sweep (one point failing timing) runs the ISA
-// simulation and the eDRAM build once, and its points equal the
-// per-frequency evaluations of the nil-memo reference.
+// simulation and the eDRAM build once, and its points equal those of
+// per-frequency ClockSweep calls, each on a memo of its own.
 func TestClockSweepSharesOneRun(t *testing.T) {
 	w := embench.CRC32()
 	freqs := []units.Frequency{
 		units.Megahertz(300), units.Megahertz(500), units.Megahertz(600), units.Gigahertz(40),
 	}
 	m := NewMemo()
-	got, err := clockSweep(m, M3DSystem(), w, carbon.GridUS, 24, freqs)
+	got, err := m.ClockSweep(M3DSystem(), w, carbon.GridUS, 24, freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := clockSweep(nil, M3DSystem(), w, carbon.GridUS, 24, freqs)
-	if err != nil {
-		t.Fatal(err)
+	var want []ClockSweepPoint
+	for _, f := range freqs {
+		pt, err := ClockSweep(M3DSystem(), w, carbon.GridUS, 24, []units.Frequency{f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, pt...)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("memoized sweep differs from per-frequency evaluation:\n%+v\nvs\n%+v", got, want)

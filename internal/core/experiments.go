@@ -19,52 +19,18 @@ import (
 // text. The cmd/ppatc CLI and the repository's benchmark harness both call
 // these, so the reproduction is regenerated identically everywhere.
 
-// embodiedWaferFor evaluates Eq. 2 per wafer for a flow on a grid,
-// including the beyond-Si film materials when the flow has device tiers.
-func embodiedWaferFor(flow *process.Flow, grid carbon.Grid) (carbon.EmbodiedBreakdown, error) {
-	tbl := process.DefaultEnergyTable()
-	epa, err := flow.EPA(tbl)
-	if err != nil {
-		return carbon.EmbodiedBreakdown{}, err
-	}
-	gpa, err := carbon.GPAScaled(epa, process.IN7Reference(), process.IN7GPA())
-	if err != nil {
-		return carbon.EmbodiedBreakdown{}, err
-	}
-	waferArea := units.SquareCentimeters(706.858)
-	var films []process.FilmMaterial
-	if strings.Contains(flow.Name, "M3D") {
-		cnt, err := process.CNTMaterial(process.PaperCNTFilm(waferArea))
-		if err != nil {
-			return carbon.EmbodiedBreakdown{}, err
-		}
-		igzo, err := process.IGZOMaterial(process.PaperIGZOFilm(waferArea))
-		if err != nil {
-			return carbon.EmbodiedBreakdown{}, err
-		}
-		films = append(films, cnt, igzo)
-	}
-	mpa, err := process.MPAWithFilms(waferArea, films...)
-	if err != nil {
-		return carbon.EmbodiedBreakdown{}, err
-	}
-	return carbon.EmbodiedPerWafer(carbon.EmbodiedInputs{
-		MPA: mpa, GPA: gpa, EPA: epa, CIFab: grid.Intensity, WaferArea: waferArea,
-	})
-}
-
 // Fig2c regenerates Fig. 2c: embodied carbon per wafer for the all-Si and
 // M3D processes across the four energy grids, plus the average ratio the
 // abstract headlines (1.31×).
 func Fig2c() (string, error) {
-	flows := []*process.Flow{process.AllSi7nm(), process.M3D7nm()}
+	designs := []SystemDesign{AllSiSystem(), M3DSystem()}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s %18s %18s %8s\n", "grid", "all-Si (kgCO2e)", "M3D (kgCO2e)", "ratio")
 	var ratioSum float64
 	for _, g := range carbon.Grids() {
 		var totals [2]float64
-		for i, f := range flows {
-			b, err := embodiedWaferFor(f, g)
+		for i, sys := range designs {
+			_, b, err := embodiedPerWafer(sys, g)
 			if err != nil {
 				return "", err
 			}

@@ -30,27 +30,28 @@ import (
 //	floorplan ← design macro dims + core area
 //	carbon    ← design flow/wafer/yield + die + grid CI_fab
 //
-// The memoized path assembles results from the same pure stage outputs
-// as the direct path, so results — and bytes encoded from them — are
-// identical. Keys identify bundled designs by name (every construction
-// site goes through SystemByName); callers evaluating hand-modified
-// SystemDesigns beyond the Clock override must not share a Memo across
-// them.
+// Every evaluation runs through a memo; one that starts empty runs every
+// stage it needs. Replays return the stored pure stage outputs, so
+// results — and bytes encoded from them — do not depend on what the memo
+// already held. Keys identify bundled designs by name (every
+// construction site goes through SystemByName); callers evaluating
+// hand-modified SystemDesigns beyond the Clock override must not share a
+// Memo across them.
 //
 // A Memo is safe for concurrent use and unbounded: it grows by one entry
 // per distinct stage key and never evicts. That makes its lifetime the
-// caller's key domain. Table2Context and SuiteContext get a memo for one
-// call, so the two designs share one ISA simulation per workload. The
-// DAG's leaves, embench and edram, share no inputs, so a pair
-// evaluation (Table2Context, EvaluatePairContext, the suite) runs the
-// missing ones concurrently, one simulation and two eDRAM builds at
-// once, before either design's evaluation replays them. A sweep, whose spec
-// axes (clock, custom intensities) make keys unbounded, gets a memo for
-// one run. A memo may live for a whole process only when every caller
-// evaluates bundled designs at their own clock over a bounded key
-// domain — the daemon's validated requests reach at most 8 workloads, 2
-// designs and the named grids, so its process-lifetime memo holds at most
-// 22 entries.
+// caller's key domain. EvaluateContext, Table2Context, SuiteContext and
+// ClockSweep get a memo for one call, so the two designs share one ISA
+// simulation per workload. The DAG's leaves, embench and edram, share
+// no inputs, so a pair evaluation (Table2Context, EvaluatePairContext,
+// the suite) runs the missing ones concurrently, one simulation and two
+// eDRAM builds at once, before either design's evaluation replays them.
+// A sweep, whose spec axes (clock, custom intensities) make keys
+// unbounded, gets a memo for one run. A memo may live for a whole
+// process only when every caller evaluates bundled designs at their own
+// clock over a bounded key domain — the daemon's validated requests
+// reach at most 8 workloads, 2 designs and the named grids, so its
+// process-lifetime memo holds at most 22 entries.
 type Memo struct {
 	entries [numMemoStages]sync.Map // stage key -> *memoEntry
 	hits    [numMemoStages]atomic.Int64
@@ -60,37 +61,30 @@ type Memo struct {
 // NewMemo returns an empty stage memo.
 func NewMemo() *Memo { return &Memo{} }
 
-// EvaluateContext is core.EvaluateContext through the memo: stages whose
-// keyed inputs were already evaluated are replayed instead of re-run.
-func (m *Memo) EvaluateContext(ctx context.Context, sys SystemDesign, w embench.Workload, grid carbon.Grid) (*PPAtC, error) {
-	return evaluateWithMemo(ctx, m, sys, w, grid)
-}
-
 // EvaluatePairContext evaluates the two bundled designs, all-Si then
 // M3D, on one workload and grid through the memo. The leaf stages the
 // pair needs, the workload's ISA simulation and each design's eDRAM
 // build, share no inputs, so the ones still missing from the memo run
 // concurrently before either evaluation starts; a warm memo starts no
-// goroutine. The results equal two EvaluateContext calls on the memo. A
-// nil memo evaluates the pair one stage at a time, every stage run.
+// goroutine. The results equal two EvaluateContext calls on the memo.
 func (m *Memo) EvaluatePairContext(ctx context.Context, w embench.Workload, grid carbon.Grid) (si, m3d *PPAtC, err error) {
 	return evaluatePair(ctx, m, AllSiSystem(), M3DSystem(), w, grid)
 }
 
 // evaluatePair is the one pair evaluation behind EvaluatePairContext
 // (and so Table2Context) and the suite: the leaf fan-out, then both
-// designs through evaluateWithMemo, where every leaf is a memo hit.
+// designs through Memo.EvaluateContext, where every leaf is a memo hit.
 // Callers build each design once and pass it in; rebuilding them here
 // would repeat their process-flow construction.
 func evaluatePair(ctx context.Context, m *Memo, si, m3d SystemDesign, w embench.Workload, grid carbon.Grid) (*PPAtC, *PPAtC, error) {
 	if err := fanOutLeaves(ctx, m, w, si, m3d); err != nil {
 		return nil, nil, err
 	}
-	a, err := evaluateWithMemo(ctx, m, si, w, grid)
+	a, err := m.EvaluateContext(ctx, si, w, grid)
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := evaluateWithMemo(ctx, m, m3d, w, grid)
+	b, err := m.EvaluateContext(ctx, m3d, w, grid)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -133,9 +127,8 @@ type StageRun struct {
 
 // StageRuns returns the memo's record of stage executions, one per
 // stored entry (cached errors included), grouped by stage in Stages()
-// order. Under a memo a stage runs only on a miss, so the runs of a
-// stage number exactly its Misses in Stats. Entries still running are
-// left out.
+// order. A stage runs only on a miss, so the runs of a stage number
+// exactly its Misses in Stats. Entries still running are left out.
 func (m *Memo) StageRuns() []StageRun {
 	var runs []StageRun
 	for i, name := range Stages() {
@@ -172,10 +165,9 @@ func memoHas(m *Memo, stage int, key string) bool {
 }
 
 // memoDo returns the memoized value for (stage, key), running fn on the
-// first call and counting every later call as a replay (a hit). With a
-// nil memo it degenerates to fn(). Context cancellations are returned
-// but never cached — a cancelled caller must not poison the key for
-// later evaluations.
+// first call and counting every later call as a replay (a hit). Context
+// cancellations are returned but never cached — a cancelled caller must
+// not poison the key for later evaluations.
 func memoDo(m *Memo, stage int, key string, fn func() (any, error)) (any, error) {
 	val, hit, err := memoFill(m, stage, key, fn)
 	if hit {
@@ -188,13 +180,9 @@ func memoDo(m *Memo, stage int, key string, fn func() (any, error)) (any, error)
 // was already held instead of counting it as a replay. The leaf fan-out
 // fills the memo through it, so the stats read the same however many
 // fan-outs raced to fill a key: one miss per run, one hit per
-// evaluation that replays it. Under a memo this is the one place a stage
-// executes, so it is also where the run is timed for StageRuns.
+// evaluation that replays it. This is the one place a stage executes, so
+// it is also where the run is timed for StageRuns.
 func memoFill(m *Memo, stage int, key string, fn func() (any, error)) (val any, hit bool, err error) {
-	if m == nil {
-		val, err = fn()
-		return val, false, err
-	}
 	v, _ := m.entries[stage].LoadOrStore(key, &memoEntry{})
 	e := v.(*memoEntry)
 	e.mu.Lock()
@@ -266,8 +254,7 @@ func buildEDRAM(ctx context.Context, sys SystemDesign) (any, error) {
 // overlap, and the two evaluations that follow replay all three from
 // the memo. Each leaf still missing from the memo runs once; a leaf the
 // memo already holds starts nothing, so a warm memo returns at once
-// without allocating. A nil memo has nowhere to keep results, so
-// nothing runs.
+// without allocating.
 //
 // A leaf's error stays in the memo (memoFill caches it) for the
 // evaluations to replay in their own order, so a failing design reports
@@ -275,9 +262,6 @@ func buildEDRAM(ctx context.Context, sys SystemDesign) (any, error) {
 // returns only ctx's error, checked before the first leaf starts and
 // after the last one ends.
 func fanOutLeaves(ctx context.Context, m *Memo, w embench.Workload, si, m3d SystemDesign) error {
-	if m == nil {
-		return nil
-	}
 	missing := [numLeaves]bool{
 		!memoHas(m, memoStageEmbench, w.Name),
 		!memoHas(m, memoStageEDRAM, si.Name),

@@ -48,19 +48,13 @@ func Suite(grid carbon.Grid) ([]SuiteRow, error) {
 // obs trace, each workload gets a span enclosing its evaluations, so the
 // exported trace shows where the suite's wall-clock went.
 func SuiteContext(ctx context.Context, grid carbon.Grid) ([]SuiteRow, error) {
-	return suiteWithMemo(ctx, NewMemo(), grid)
+	return NewMemo().SuiteContext(ctx, grid)
 }
 
-// SuiteContext is core.SuiteContext through the memo: every evaluation
-// replays the stages whose keyed inputs were already evaluated. A nil
-// memo runs every stage of every evaluation.
+// SuiteContext is core.SuiteContext through the memo: one pair
+// evaluation per workload, on designs built once per call, replaying
+// every stage whose keyed inputs the memo already holds.
 func (m *Memo) SuiteContext(ctx context.Context, grid carbon.Grid) ([]SuiteRow, error) {
-	return suiteWithMemo(ctx, m, grid)
-}
-
-// suiteWithMemo is the one suite loop behind both entry points: one pair
-// evaluation per workload, on designs built once per call.
-func suiteWithMemo(ctx context.Context, m *Memo, grid carbon.Grid) ([]SuiteRow, error) {
 	scenario := tcdp.PaperScenario()
 	siSys, m3dSys := AllSiSystem(), M3DSystem()
 	var rows []SuiteRow

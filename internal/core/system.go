@@ -246,18 +246,17 @@ func Evaluate(sys SystemDesign, w embench.Workload, grid carbon.Grid) (*PPAtC, e
 // EvaluateContext is Evaluate with cancellation: the flow checks ctx between
 // its expensive stages (ISA simulation, eDRAM characterization, synthesis)
 // so callers serving many evaluations — the ppatcd daemon in particular —
-// can abandon work whose requester has gone away or timed out.
+// can abandon work whose requester has gone away or timed out. It
+// evaluates through a memo that lives for this call only.
 func EvaluateContext(ctx context.Context, sys SystemDesign, w embench.Workload, grid carbon.Grid) (*PPAtC, error) {
-	return evaluateWithMemo(ctx, nil, sys, w, grid)
+	return NewMemo().EvaluateContext(ctx, sys, w, grid)
 }
 
-// evaluateWithMemo is the five-stage flow shared by the direct path
-// (m == nil: every stage runs) and the stage-memoized incremental path
-// (m != nil: each stage runs once per distinct input slice and is
-// replayed from the memo afterwards). Both paths assemble the PPAtC
-// from the same stage outputs, so their results — and anything encoded
-// from them — are identical.
-func evaluateWithMemo(ctx context.Context, m *Memo, sys SystemDesign, w embench.Workload, grid carbon.Grid) (*PPAtC, error) {
+// EvaluateContext is core.EvaluateContext through the memo: each stage
+// runs once per distinct input slice and is replayed from the memo
+// afterwards. Replays return the stored stage outputs, so results — and
+// anything encoded from them — do not depend on what the memo held.
+func (m *Memo) EvaluateContext(ctx context.Context, sys SystemDesign, w embench.Workload, grid carbon.Grid) (*PPAtC, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
@@ -428,38 +427,7 @@ type carbonResult struct {
 // carbon intensity, and the floorplanned die.
 func carbonChain(sys SystemDesign, grid carbon.Grid, chip floorplan.Chip) (carbonResult, error) {
 	var out carbonResult
-	epa, err := sys.Flow.EPA(process.DefaultEnergyTable())
-	if err != nil {
-		return out, err
-	}
-	gpa, err := carbon.GPAScaled(epa, process.IN7Reference(), process.IN7GPA())
-	if err != nil {
-		return out, err
-	}
-	waferArea := sys.Wafer.Area()
-	var films []process.FilmMaterial
-	if sys.HasCNT {
-		f, err := process.CNTMaterial(process.PaperCNTFilm(waferArea))
-		if err != nil {
-			return out, err
-		}
-		films = append(films, f)
-	}
-	if sys.HasIGZO {
-		f, err := process.IGZOMaterial(process.PaperIGZOFilm(waferArea))
-		if err != nil {
-			return out, err
-		}
-		films = append(films, f)
-	}
-	mpa, err := process.MPAWithFilms(waferArea, films...)
-	if err != nil {
-		return out, err
-	}
-	breakdown, err := carbon.EmbodiedPerWafer(carbon.EmbodiedInputs{
-		MPA: mpa, GPA: gpa, EPA: epa,
-		CIFab: grid.Intensity, WaferArea: waferArea,
-	})
+	epa, breakdown, err := embodiedPerWafer(sys, grid)
 	if err != nil {
 		return out, err
 	}
@@ -480,4 +448,44 @@ func carbonChain(sys SystemDesign, grid carbon.Grid, chip floorplan.Chip) (carbo
 
 	out = carbonResult{epa: epa, breakdown: breakdown, dies: dies, yield: yieldVal, perGood: perGood}
 	return out, nil
+}
+
+// embodiedPerWafer evaluates Eq. 2 per wafer for a design on a grid:
+// EPA → GPA → the beyond-Si film materials the design carries → MPA →
+// the embodied breakdown. It returns the EPA too, which carbonChain
+// reports on its own.
+func embodiedPerWafer(sys SystemDesign, grid carbon.Grid) (units.Energy, carbon.EmbodiedBreakdown, error) {
+	epa, err := sys.Flow.EPA(process.DefaultEnergyTable())
+	if err != nil {
+		return 0, carbon.EmbodiedBreakdown{}, err
+	}
+	gpa, err := carbon.GPAScaled(epa, process.IN7Reference(), process.IN7GPA())
+	if err != nil {
+		return 0, carbon.EmbodiedBreakdown{}, err
+	}
+	waferArea := sys.Wafer.Area()
+	var films []process.FilmMaterial
+	if sys.HasCNT {
+		f, err := process.CNTMaterial(process.PaperCNTFilm(waferArea))
+		if err != nil {
+			return 0, carbon.EmbodiedBreakdown{}, err
+		}
+		films = append(films, f)
+	}
+	if sys.HasIGZO {
+		f, err := process.IGZOMaterial(process.PaperIGZOFilm(waferArea))
+		if err != nil {
+			return 0, carbon.EmbodiedBreakdown{}, err
+		}
+		films = append(films, f)
+	}
+	mpa, err := process.MPAWithFilms(waferArea, films...)
+	if err != nil {
+		return 0, carbon.EmbodiedBreakdown{}, err
+	}
+	breakdown, err := carbon.EmbodiedPerWafer(carbon.EmbodiedInputs{
+		MPA: mpa, GPA: gpa, EPA: epa,
+		CIFab: grid.Intensity, WaferArea: waferArea,
+	})
+	return epa, breakdown, err
 }

@@ -3,10 +3,14 @@ package dse
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -540,6 +544,9 @@ func TestSpecValidation(t *testing.T) {
 		{"bad metric", `{"axes": {}, "objectives": [{"metric": "speed"}]}`, "unknown objective metric"},
 		{"negative clock", `{"axes": {"clock_mhz": {"values": [-5]}}}`, "must be positive"},
 		{"bad m3d yield", `{"axes": {"m3d_yield": {"values": [1.5]}}}`, "in (0, 1]"},
+		{"NaN logspace level", `{"axes": {"clock_mhz": {"logspace": {"lo": 1e-300, "hi": 1e300, "n": 2}}}}`, "not finite"},
+		{"NaN triangular draws", `{"axes": {"ci_use_scale": {"dist": {"kind": "triangular", "lo": -1e308, "mode": 1e308, "hi": 1e308}}}}`, "too wide"},
+		{"infinite loguniform draws", `{"axes": {"ci_use_scale": {"dist": {"kind": "loguniform", "lo": 1e-300, "hi": 1e300}}}}`, "too wide"},
 	}
 	for _, c := range cases {
 		_, err := ParseSpec(strings.NewReader(c.json))
@@ -549,12 +556,87 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestMaxPoints bounds job size.
-func TestMaxPoints(t *testing.T) {
-	_, err := Run(context.Background(), testSpec(), Options{MaxPoints: 4})
-	if err == nil || !strings.Contains(err.Error(), "cap is 4") {
-		t.Fatalf("got %v, want point-cap rejection", err)
+// Oversize specs of a few hundred bytes each. The first asks for 1e10
+// points; the second's five 10,000-level axes overflow int.
+const (
+	hugeSpec = `{"name": "huge", "axes": {
+  "clock_mhz": {"linspace": {"lo": 100, "hi": 500, "n": 100000}},
+  "lifetime_months": {"linspace": {"lo": 1, "hi": 60, "n": 100000}}}}`
+	overflowSpec = `{"name": "overflow", "axes": {
+  "clock_mhz": {"linspace": {"lo": 100, "hi": 500, "n": 10000}},
+  "lifetime_months": {"linspace": {"lo": 1, "hi": 60, "n": 10000}},
+  "yield_d0": {"linspace": {"lo": 0, "hi": 1, "n": 10000}},
+  "m3d_embodied_scale": {"linspace": {"lo": 0.5, "hi": 2, "n": 10000}},
+  "ci_use_scale": {"linspace": {"lo": 0.5, "hi": 2, "n": 10000}}}}`
+)
+
+// TestOversizeSpecs pins the plan-size ceiling: a spec whose point count
+// passes MaxPlanPoints fails ParseSpec, Validate and Expand with an
+// error, before any level list or point is built, where it once ran
+// Expand out of memory or panicked in make. The last case is a single
+// 1e9-level axis, which Validate once built (8 GB) before checking.
+func TestOversizeSpecs(t *testing.T) {
+	for _, js := range []string{
+		hugeSpec,
+		overflowSpec,
+		`{"axes": {"clock_mhz": {"linspace": {"lo": 100, "hi": 500, "n": 1000000000}}}}`,
+	} {
+		var spec Spec
+		if err := json.Unmarshal([]byte(js), &spec); err != nil {
+			t.Fatal(err)
+		}
+		const want = "more than 1000000 points"
+		if _, err := spec.PointCount(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("PointCount: got %v, want %q", err, want)
+		}
+		if _, err := Expand(&spec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Expand: got %v, want %q", err, want)
+		}
+		if _, err := ParseSpec(strings.NewReader(js)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseSpec: got %v, want %q", err, want)
+		}
 	}
+}
+
+// FuzzSpecExpand feeds arbitrary bytes to ParseSpec and Expand: neither
+// panics, a parsed spec's point count is within MaxPlanPoints and is the
+// length of its plan, and expanding the spec twice gives equal plans.
+func FuzzSpecExpand(f *testing.F) {
+	smoke, err := os.ReadFile(filepath.Join("testdata", "smoke.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	mc, err := json.Marshal(mcSpec(3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{smoke, mc, []byte(`{"axes": {}}`), []byte(hugeSpec), []byte(overflowSpec)} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		n, err := spec.PointCount()
+		if err != nil || n > MaxPlanPoints {
+			t.Fatalf("parsed spec counts %d points (%v), ceiling %d", n, err, MaxPlanPoints)
+		}
+		plan, err := Expand(spec)
+		if err != nil {
+			return
+		}
+		if len(plan.Points) != n {
+			t.Fatalf("plan has %d points, PointCount %d", len(plan.Points), n)
+		}
+		again, err := Expand(spec)
+		if err != nil {
+			t.Fatalf("second Expand: %v", err)
+		}
+		if !reflect.DeepEqual(plan, again) {
+			t.Fatal("expanding the same spec twice gave different plans")
+		}
+	})
 }
 
 // TestInfeasibleClock: an absurd clock fails timing closure and comes

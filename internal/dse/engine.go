@@ -33,17 +33,9 @@ type Options struct {
 	// EvalCounter, when set, is incremented once per freshly evaluated
 	// and recorded point (resumed points don't count).
 	EvalCounter *obs.Counter
-	// MaxPoints rejects plans larger than this many points (<=0 = no
-	// cap). Servers use it to bound job size.
-	MaxPoints int
-	// NoMemo disables stage memoization: every freshly evaluated tuple
-	// re-runs all five pipeline stages. Results are identical either
-	// way — the memo only skips recomputing pure stage outputs — so this
-	// exists for benchmarking the memo and as an escape hatch.
-	NoMemo bool
 	// Memo, when set, is the stage memo to evaluate through, letting a
 	// caller share stage results across runs (e.g. successive sweeps over
-	// the same designs). Nil means a fresh per-run memo (unless NoMemo).
+	// the same designs). Nil means a fresh per-run memo.
 	Memo *core.Memo
 }
 
@@ -79,9 +71,6 @@ func RunPlanRange(ctx context.Context, plan *Plan, lo, hi int, opts Options) ([]
 	}
 	points := plan.Points[lo:hi]
 	total := len(points)
-	if opts.MaxPoints > 0 && total > opts.MaxPoints {
-		return nil, fmt.Errorf("dse: plan has %d points, cap is %d", total, opts.MaxPoints)
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -104,7 +93,7 @@ func RunPlanRange(ctx context.Context, plan *Plan, lo, hi int, opts Options) ([]
 	}
 
 	memo := opts.Memo
-	if memo == nil && !opts.NoMemo {
+	if memo == nil {
 		memo = core.NewMemo()
 	}
 	ev := newEvaluator(plan.UseGrid, memo)

@@ -24,11 +24,9 @@ type evaluator struct {
 	useGrid carbon.Grid
 	m3dName string
 	cache   sync.Map // core key -> *coreEntry
-	// memo, when set, memoizes the individual pipeline stages underneath
-	// the tuple cache: two tuples differing only in grid replay embench,
-	// the eDRAM macro, synthesis and the floorplan instead of re-running
-	// them. Stage outputs are pure, so memoized results are identical to
-	// direct evaluation.
+	// memo memoizes the individual pipeline stages underneath the tuple
+	// cache: two tuples differing only in grid replay embench, the eDRAM
+	// macro, synthesis and the floorplan instead of re-running them.
 	memo *core.Memo
 }
 
@@ -62,11 +60,7 @@ func (e *evaluator) coreEval(ctx context.Context, p Point) (*core.PPAtC, error) 
 			entry.err = err
 			return
 		}
-		if e.memo != nil {
-			entry.res, entry.err = e.memo.EvaluateContext(ctx, sys, wl, p.Grid)
-		} else {
-			entry.res, entry.err = core.EvaluateContext(ctx, sys, wl, p.Grid)
-		}
+		entry.res, entry.err = e.memo.EvaluateContext(ctx, sys, wl, p.Grid)
 	})
 	return entry.res, entry.err
 }

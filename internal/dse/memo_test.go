@@ -32,20 +32,34 @@ func mixedAxisSpec(intensities, clocks int) *Spec {
 	}
 }
 
-// TestMemoByteIdenticalNDJSON pins the tentpole contract: a memoized
-// mixed-axis sweep emits byte-identical NDJSON to the non-memoized run.
+// TestMemoByteIdenticalNDJSON pins the memo's contract on a mixed-axis
+// sweep (huff; intensities 48, 380, 563 and 820 g/kWh; 300 and 500 MHz;
+// both systems): the sweep, whose points share one memo, emits the
+// NDJSON of a reference that evaluates every point in isolation,
+// through a fresh evaluator and memo of its own.
 func TestMemoByteIdenticalNDJSON(t *testing.T) {
-	spec := mixedAxisSpec(8, 2)
-	plain, err := Run(context.Background(), spec, Options{Workers: 4, NoMemo: true})
-	if err != nil {
-		t.Fatalf("no-memo run: %v", err)
+	spec := &Spec{
+		Name: "memo-identity",
+		Axes: Axes{
+			Workload: []string{"huff"},
+			Grid:     &GridAxis{Intensity: &NumericAxis{Values: []float64{48, 380, 563, 820}}},
+			ClockMHz: &NumericAxis{Values: []float64{300, 500}},
+		},
 	}
-	memoized, err := Run(context.Background(), spec, Options{Workers: 4})
+	plan, err := Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memoized, err := RunPlan(context.Background(), plan, Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("memoized run: %v", err)
 	}
-	if a, b := ndjson(t, plain), ndjson(t, memoized); !bytes.Equal(a, b) {
-		t.Fatalf("memoized NDJSON differs from non-memoized:\n--- no-memo ---\n%s--- memo ---\n%s", a, b)
+	isolated := make([]Result, len(plan.Points))
+	for i, p := range plan.Points {
+		isolated[i] = newEvaluator(plan.UseGrid, core.NewMemo()).evaluate(context.Background(), p)
+	}
+	if a, b := ndjson(t, isolated), ndjson(t, memoized); !bytes.Equal(a, b) {
+		t.Fatalf("shared-memo NDJSON differs from per-point evaluation:\n--- isolated ---\n%s--- shared memo ---\n%s", a, b)
 	}
 }
 

@@ -59,13 +59,6 @@ type numLevels struct {
 	sampled []float64 // indexed by replica
 }
 
-func (l numLevels) count() int {
-	if !l.present || l.sampled != nil {
-		return 1
-	}
-	return len(l.fixed)
-}
-
 // value resolves the level at a coordinate; ok is false when the axis is
 // absent from the spec.
 func (l numLevels) value(coord, replica int) (float64, bool) {
@@ -141,42 +134,21 @@ func Expand(spec *Spec) (*Plan, error) {
 		return nil, err
 	}
 
-	samples := n.Samples
-	replicas := 1
-	if samples > 0 {
-		replicas = samples
-	}
-	type numDim struct {
-		name string
-		axis *NumericAxis
-	}
-	dims := []numDim{
-		{"clock_mhz", n.Axes.ClockMHz},
-		{"lifetime_months", n.Axes.LifetimeMonths},
-		{"yield_d0", n.Axes.YieldD0},
-		{"m3d_yield", n.Axes.M3DYield},
-		{"m3d_embodied_scale", n.Axes.M3DEmbodiedScale},
-		{"ci_use_scale", n.Axes.CIUseScale},
-	}
-	levels := make([]numLevels, len(dims))
-	for i, d := range dims {
-		if levels[i], err = expandNum(d.axis, d.name, n.Seed, samples); err != nil {
+	axes := n.numericAxes()
+	levels := make([]numLevels, len(axes))
+	for i, a := range axes {
+		if levels[i], err = expandNum(a, numericAxisNames[i], n.Seed, n.Samples); err != nil {
 			return nil, err
 		}
 	}
 	clock, life, d0, m3dY, m3dEmb, ciUse := levels[0], levels[1], levels[2], levels[3], levels[4], levels[5]
 
-	counts := []int{
-		len(n.Axes.System), len(n.Axes.Workload), len(grids),
-		clock.count(), life.count(), d0.count(), m3dY.count(), m3dEmb.count(), ciUse.count(),
-		replicas,
-	}
-	total := 1
-	for _, c := range counts {
-		if c == 0 {
-			return nil, fmt.Errorf("dse: empty axis in spec %q", n.Name)
-		}
-		total *= c
+	// Validation rejects every empty axis and caps the count, so each
+	// dimension has at least one level and total cannot overflow.
+	counts := n.dimCounts()
+	total, err := n.PointCount()
+	if err != nil {
+		return nil, err
 	}
 
 	plan := &Plan{Spec: n, Hash: hash, UseGrid: useGrid, Points: make([]Point, 0, total)}

@@ -129,6 +129,30 @@ type Objective struct {
 // distribution axes but no explicit sample count.
 const DefaultSamples = 100
 
+// MaxPlanPoints caps the points one spec may expand to. It sits far
+// above every sweep in the repository (the largest, the benchmark's
+// Monte Carlo sweep, has 38,400 points) and above the daemon's default
+// job cap of 100,000 points, and it keeps a spec of a few hundred bytes
+// from asking for an allocation no process survives.
+const MaxPlanPoints = 1_000_000
+
+// PointCount is the number of points the spec expands to: the product of
+// its axis lengths, defaults included, and its Monte Carlo replica
+// count. It builds no axis, and it fails as soon as the product passes
+// MaxPlanPoints, so it cannot overflow. An axis Validate rejects for
+// having no levels counts as one.
+func (s *Spec) PointCount() (int, error) {
+	total := 1
+	for _, c := range s.dimCounts() {
+		c = max(c, 1)
+		if total > MaxPlanPoints/c {
+			return 0, fmt.Errorf("dse: spec %q expands to more than %d points", s.Name, MaxPlanPoints)
+		}
+		total *= c
+	}
+	return total, nil
+}
+
 // ParseSpec decodes and validates a JSON sweep spec.
 func ParseSpec(r io.Reader) (*Spec, error) {
 	dec := json.NewDecoder(r)
@@ -143,8 +167,13 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 	return &s, nil
 }
 
-// Distribution builds the tcdp.Distribution the spec names.
+// Distribution builds the tcdp.Distribution the spec names. A range too
+// wide for float64 arithmetic is rejected: its draws would be infinite
+// or NaN.
 func (d *DistSpec) Distribution() (tcdp.Distribution, error) {
+	if math.IsInf(d.Hi-d.Lo, 0) || d.Kind == "loguniform" && math.IsInf(d.Hi/d.Lo, 0) {
+		return nil, fmt.Errorf("dse: %s range [%g, %g] is too wide", d.Kind, d.Lo, d.Hi)
+	}
 	switch d.Kind {
 	case "point":
 		return tcdp.Point(d.Value), nil
@@ -166,6 +195,64 @@ func (d *DistSpec) Distribution() (tcdp.Distribution, error) {
 	default:
 		return nil, fmt.Errorf("dse: unknown distribution kind %q (valid: point, uniform, loguniform, triangular)", d.Kind)
 	}
+}
+
+// dimCounts lists the level count of each plan dimension in the order
+// Expand crosses them: system, workload, grid, the numeric axes in
+// numericAxes order, then the Monte Carlo replicas. Defaults count as
+// normalized fills them in. It builds no axis.
+func (s *Spec) dimCounts() []int {
+	counts := []int{len(s.Axes.System), len(s.Axes.Workload), 1}
+	if counts[0] == 0 {
+		counts[0] = 2 // both bundled systems
+	}
+	if g := s.Axes.Grid; g != nil {
+		counts[2] = len(g.Names) + len(g.Custom)
+		if g.Intensity != nil {
+			counts[2] += g.Intensity.levels()
+		}
+	}
+	for _, a := range s.numericAxes() {
+		counts = append(counts, a.levels())
+	}
+	replicas := 1
+	if s.hasDistAxis() {
+		replicas = s.Samples
+		if replicas == 0 {
+			replicas = DefaultSamples
+		}
+	}
+	return append(counts, replicas)
+}
+
+// numericAxisNames names the numeric axes, in numericAxes order.
+var numericAxisNames = []string{
+	"clock_mhz", "lifetime_months", "yield_d0", "m3d_yield", "m3d_embodied_scale", "ci_use_scale",
+}
+
+// numericAxes lists the spec's numeric axes (nil when absent) in the
+// order Expand crosses them.
+func (s *Spec) numericAxes() []*NumericAxis {
+	return []*NumericAxis{
+		s.Axes.ClockMHz, s.Axes.LifetimeMonths, s.Axes.YieldD0,
+		s.Axes.M3DYield, s.Axes.M3DEmbodiedScale, s.Axes.CIUseScale,
+	}
+}
+
+// levels is the length of the axis's level list: one for an absent axis
+// and for a distribution, whose level is drawn per replica.
+func (a *NumericAxis) levels() int {
+	switch {
+	case a == nil:
+		return 1
+	case a.Values != nil:
+		return len(a.Values)
+	case a.Linspace != nil:
+		return a.Linspace.N
+	case a.Logspace != nil:
+		return a.Logspace.N
+	}
+	return 1
 }
 
 // values expands a non-distribution axis into its ordered level list.
@@ -238,11 +325,12 @@ func (a *NumericAxis) validate(name string, check func(v float64) error) error {
 	if forms != 1 {
 		return fmt.Errorf("dse: axis %s: give exactly one of values, linspace, logspace, dist", name)
 	}
-	if check != nil {
-		for _, v := range a.values() {
-			if err := check(v); err != nil {
-				return fmt.Errorf("dse: axis %s: %w", name, err)
-			}
+	for _, v := range a.values() {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("dse: axis %s: level %g is not finite", name, v)
+		}
+		if err := check(v); err != nil {
+			return fmt.Errorf("dse: axis %s: %w", name, err)
 		}
 	}
 	return nil
@@ -257,10 +345,14 @@ func positive(what string) func(float64) error {
 	}
 }
 
-// Validate checks the spec without expanding it.
+// Validate checks the spec without expanding it. The point count is
+// checked first, before any axis's levels are built.
 func (s *Spec) Validate() error {
 	if s.Samples < 0 {
 		return errors.New("dse: samples must be non-negative")
+	}
+	if _, err := s.PointCount(); err != nil {
+		return err
 	}
 	for _, name := range s.Axes.System {
 		if _, err := core.SystemByName(name); err != nil {
@@ -303,33 +395,29 @@ func (s *Spec) Validate() error {
 			}
 		}
 	}
-	type axisCheck struct {
-		name  string
-		axis  *NumericAxis
-		check func(float64) error
-	}
-	for _, a := range []axisCheck{
-		{"clock_mhz", s.Axes.ClockMHz, positive("clock")},
-		{"lifetime_months", s.Axes.LifetimeMonths, positive("lifetime")},
-		{"yield_d0", s.Axes.YieldD0, func(v float64) error {
+	checks := []func(float64) error{ // in numericAxes order
+		positive("clock"),
+		positive("lifetime"),
+		func(v float64) error {
 			if v < 0 {
 				return fmt.Errorf("defect density must be non-negative (got %g)", v)
 			}
 			return nil
-		}},
-		{"m3d_yield", s.Axes.M3DYield, func(v float64) error {
+		},
+		func(v float64) error {
 			if v <= 0 || v > 1 {
 				return fmt.Errorf("yield must be in (0, 1] (got %g)", v)
 			}
 			return nil
-		}},
-		{"m3d_embodied_scale", s.Axes.M3DEmbodiedScale, positive("embodied scale")},
-		{"ci_use_scale", s.Axes.CIUseScale, positive("CI_use scale")},
-	} {
-		if a.axis == nil {
+		},
+		positive("embodied scale"),
+		positive("CI_use scale"),
+	}
+	for i, a := range s.numericAxes() {
+		if a == nil {
 			continue
 		}
-		if err := a.axis.validate(a.name, a.check); err != nil {
+		if err := a.validate(numericAxisNames[i], checks[i]); err != nil {
 			return err
 		}
 	}
@@ -388,10 +476,7 @@ func (s *Spec) normalized() (*Spec, error) {
 }
 
 func (s *Spec) hasDistAxis() bool {
-	for _, a := range []*NumericAxis{
-		s.Axes.ClockMHz, s.Axes.LifetimeMonths, s.Axes.YieldD0,
-		s.Axes.M3DYield, s.Axes.M3DEmbodiedScale, s.Axes.CIUseScale,
-	} {
+	for _, a := range s.numericAxes() {
 		if a != nil && a.Dist != nil {
 			return true
 		}

@@ -694,7 +694,7 @@ func (s *Server) handleClusterWork(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	plan, err := dse.Expand(spec)
+	plan, err := s.expandSweep(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -487,3 +487,24 @@ func TestClusterWorkAcceptContentType(t *testing.T) {
 		t.Fatalf("202 Content-Type = %q, want application/json (headers set after WriteHeader are dropped)", got)
 	}
 }
+
+// TestClusterWorkChecksSweepCap: a work invitation is held to the
+// worker's own SweepMaxPoints, checked on the spec's point count before
+// the plan is built, as POST /v1/sweeps is.
+func TestClusterWorkChecksSweepCap(t *testing.T) {
+	cfg := clusterConfig()
+	cfg.SweepMaxPoints = 1
+	_, ts := startClusterNode(t, "node-a", cfg)
+	msg, err := json.Marshal(clusterWorkMsg{
+		JobID:          "000000000000",
+		CoordinatorURL: ts.URL,
+		Spec:           json.RawMessage(clusterSweep),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := post(t, ts, "/cluster/v1/sweeps/work", string(msg))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "cap is 1") {
+		t.Fatalf("work invitation over the cap: %d %s, want 400 with cap message", resp.StatusCode, body)
+	}
+}

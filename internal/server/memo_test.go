@@ -117,6 +117,49 @@ func TestTracedRequestBypassesStageMemo(t *testing.T) {
 	}
 }
 
+// TestTracedTCDPRunsProductionShape pins a traced pair evaluation to the
+// stage DAG a served miss runs: one "leaves" span holding the one
+// simulation and both eDRAM builds, then each design's remaining stages
+// once. The request evaluates through a memo of its own, so it returns
+// the cached body and leaves the daemon memo's counters as they were.
+func TestTracedTCDPRunsProductionShape(t *testing.T) {
+	srv, ts := newTestServer(t)
+	const body = `{"workload":"crc32","months":24}`
+	resp, cached := post(t, ts, "/v1/tcdp", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm: status %d: %s", resp.StatusCode, cached)
+	}
+	before := srv.memo.Stats()
+
+	env, err := postTraced(ts, "/v1/tcdp", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	var walk func([]obs.SpanNode)
+	walk = func(nodes []obs.SpanNode) {
+		for _, n := range nodes {
+			counts[n.Name]++
+			walk(n.Children)
+		}
+	}
+	walk(env.Trace.Spans)
+	want := map[string]int{"leaves": 1, "evaluate": 2,
+		"embench": 1, "edram": 2, "synth": 2, "floorplan": 2, "carbon": 2}
+	if fmt.Sprint(counts) != fmt.Sprint(want) {
+		t.Errorf("traced tcdp spans = %v, want %v", counts, want)
+	}
+	if len(env.Trace.Spans) == 0 || env.Trace.Spans[0].Name != "leaves" {
+		t.Fatalf("first root span is not the leaf fan-out: %+v", env.Trace.Spans)
+	}
+	if !bytes.Equal(env.Result, cached) {
+		t.Errorf("traced result differs from the cached body:\n%s\nvs\n%s", env.Result, cached)
+	}
+	if after := srv.memo.Stats(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("traced request touched the daemon memo: %v -> %v", before, after)
+	}
+}
+
 // TestStageMemoCountersOnMetrics pins the /metrics memo counters: a
 // second cold tcdp request on the same workload at a new lifetime misses
 // the response cache but replays every stage from the memo.

@@ -389,7 +389,7 @@ func decodeBody(r *http.Request, v any) error {
 }
 
 // workFn is one evaluation's encoder: it computes under ctx through memo
-// (nil: every stage runs fresh) and writes the JSON body into buf, which
+// and writes the JSON body into buf, which
 // the caller owns (it comes from a reused buffer pool — implementations
 // must not retain buf or its bytes). encodeNS reports the time spent
 // serializing the result (as opposed to computing it), so attribution
@@ -557,10 +557,12 @@ type tracedTrace struct {
 	Spans []obs.SpanNode `json:"spans"`
 }
 
-// serveTraced computes fresh (no cache, no coalescing, no stage memo —
-// timings are the point, so every stage runs and emits its span) on the
-// worker pool under a trace whose ID is the request ID, read back from
-// the response header instrument set.
+// serveTraced computes fresh on the worker pool under a trace whose ID
+// is the request ID, read back from the response header instrument set.
+// Timings are the point, so it bypasses the response cache, coalescing
+// and the daemon's memo: the request evaluates through a memo of its
+// own, which runs every stage the request needs, in the same stage DAG
+// (leaf fan-out included) a served miss runs.
 func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, work workFn) {
 	rid := w.Header().Get("X-Request-ID")
 	att := attributionOf(w)
@@ -570,7 +572,7 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, work workFn
 	tr := obs.NewTrace(rid)
 	buf := getEncodeBuf()
 	defer putEncodeBuf(buf)
-	bd, err := s.runWork(obs.WithTrace(jctx, tr), ClassInteractive, work, nil, buf)
+	bd, err := s.runWork(obs.WithTrace(jctx, tr), ClassInteractive, work, core.NewMemo(), buf)
 	att.Add(bd)
 	if err != nil {
 		s.writeComputeError(w, err)
@@ -585,10 +587,10 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, work workFn
 }
 
 // runWork is the one way a computation reaches the worker pool: it
-// admits work on class, runs it into buf through memo (nil: every stage
-// runs fresh), and splits the wall time it took into queue_wait (the
-// pool-measured wait, also observed on the per-class histogram),
-// compute, and the workFn's self-reported encode. A rejected or
+// admits work on class, runs it into buf through memo, and splits the
+// wall time it took into queue_wait (the pool-measured wait, also
+// observed on the per-class histogram), compute, and the workFn's
+// self-reported encode. A rejected or
 // abandoned job returns a zero breakdown.
 func (s *Server) runWork(ctx context.Context, class Class, work workFn, memo *core.Memo, buf *bytes.Buffer) (flight.Breakdown, error) {
 	var werr error

@@ -175,7 +175,6 @@ func (s *Server) runSweep(j *sweepJob) {
 	start := time.Now()
 	opts := dse.Options{
 		Workers:     s.cfg.Workers,
-		MaxPoints:   s.cfg.SweepMaxPoints,
 		EvalCounter: s.metrics.SweepPoints,
 		OnResult: func(r dse.Result) error {
 			j.commit(r)
@@ -279,20 +278,29 @@ func (j *sweepJob) snapshot() sweepStatus {
 	}
 }
 
+// expandSweep expands a parsed spec into its plan, once the spec's
+// point count is within SweepMaxPoints: the count is checked before
+// anything is built.
+func (s *Server) expandSweep(spec *dse.Spec) (*dse.Plan, error) {
+	n, err := spec.PointCount()
+	if err != nil {
+		return nil, err
+	}
+	if n > s.cfg.SweepMaxPoints {
+		return nil, fmt.Errorf("sweep has %d points, cap is %d", n, s.cfg.SweepMaxPoints)
+	}
+	return dse.Expand(spec)
+}
+
 func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 	spec, err := dse.ParseSpec(http.MaxBytesReader(nil, r.Body, 1<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	plan, err := dse.Expand(spec)
+	plan, err := s.expandSweep(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(plan.Points) > s.cfg.SweepMaxPoints {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sweep has %d points, cap is %d", len(plan.Points), s.cfg.SweepMaxPoints))
 		return
 	}
 	j := &sweepJob{

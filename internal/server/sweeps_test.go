@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -171,6 +172,36 @@ func TestSweepCancelQueued(t *testing.T) {
 	}
 	if cancelled.Status != SweepCancelled {
 		t.Fatalf("status after DELETE = %q, want cancelled", cancelled.Status)
+	}
+}
+
+// TestOversizeSweepRejected: specs of a few hundred bytes asking for
+// 1e10 points, or for more points than int holds, once ran the daemon
+// out of memory (a fatal error, not a recoverable panic) or panicked in
+// make. They now get a 400 JSON error, and the daemon serves the next
+// request.
+func TestOversizeSweepRejected(t *testing.T) {
+	_, ts := newSweepServer(t, quietConfig())
+	axis := func(name string, n int) string {
+		return fmt.Sprintf(`%q: {"linspace": {"lo": 1, "hi": 2, "n": %d}}`, name, n)
+	}
+	for _, spec := range []string{
+		`{"axes": {` + axis("clock_mhz", 100000) + `, ` + axis("lifetime_months", 100000) + `}}`,
+		`{"axes": {` + strings.Join([]string{
+			axis("clock_mhz", 10000), axis("lifetime_months", 10000), axis("yield_d0", 10000),
+			axis("m3d_embodied_scale", 10000), axis("ci_use_scale", 10000),
+		}, ", ") + `}}`,
+	} {
+		resp, body := post(t, ts, "/v1/sweeps", spec)
+		var e httpError
+		if resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Content-Type") != "application/json" ||
+			json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, "points") {
+			t.Errorf("oversize sweep: %d %q %s, want 400 JSON naming the point count",
+				resp.StatusCode, resp.Header.Get("Content-Type"), body)
+		}
+	}
+	if resp, body := post(t, ts, "/v1/sweeps", smokeSweep); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("next sweep: %d %s, want 202", resp.StatusCode, body)
 	}
 }
 
