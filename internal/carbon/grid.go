@@ -99,8 +99,13 @@ func (p scaledProfile) Mean() units.CarbonIntensity {
 
 // Scaled multiplies every intensity of a profile by a constant factor —
 // the CI_use perturbation of the paper's Fig. 6b ("CI_use within 3×
-// either way") and of Monte Carlo uncertainty axes.
+// either way") and of Monte Carlo uncertainty axes. A scaled flat
+// profile is flat: its intensity is the product scaledProfile.At and
+// Mean would compute, so the result is the same to the bit.
 func Scaled(p Profile, factor float64) Profile {
+	if f, ok := p.(FlatProfile); ok {
+		return FlatProfile{Intensity: units.CarbonIntensity(float64(f.Intensity) * factor)}
+	}
 	return scaledProfile{base: p, factor: factor}
 }
 
@@ -141,12 +146,25 @@ func (p *HourlyProfile) MeanWindow(startHour, endHour float64) units.CarbonInten
 // on a fine grid so that piecewise-constant and smooth profiles are both
 // handled. Windows may wrap midnight.
 func meanWindow(p Profile, startHour, endHour float64) units.CarbonIntensity {
+	const steps = 2400
+	var sum float64
+	if f, ok := p.(FlatProfile); ok {
+		// Every sample of a constant profile is its intensity, so this
+		// loop makes the quadrature's additions in the quadrature's order
+		// and its result is the same to the bit, without an At call per
+		// sample. The exact mean, the intensity itself, differs in the
+		// last digits: returning it is an open correctness change that
+		// moves pinned sweep and suite outputs.
+		v := float64(f.Intensity)
+		for i := 0; i < steps; i++ {
+			sum += v
+		}
+		return units.CarbonIntensity(sum / steps)
+	}
 	span := endHour - startHour
 	if span <= 0 {
 		span += 24
 	}
-	const steps = 2400
-	var sum float64
 	for i := 0; i < steps; i++ {
 		h := startHour + span*(float64(i)+0.5)/steps
 		sum += float64(p.At(h))

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
-	"strconv"
 	"sync"
 
 	"ppatc/internal/core"
@@ -222,21 +220,33 @@ func RunPlanRange(ctx context.Context, plan *Plan, lo, hi int, opts Options) ([]
 // contiguous. Deterministic, and invisible in the output: the reorder
 // buffer releases results by plan index regardless of feed order.
 func feedOrder(points []Point) []int {
-	keys := make([]string, len(points))
-	rank := make(map[string]int)
+	type stageKey struct {
+		system, workload string
+		clock            float64
+	}
+	rank := make(map[stageKey]int)
+	ranks := make([]int, len(points))
 	for i, p := range points {
-		k := p.System + "\x00" + p.Workload + "\x00" + strconv.FormatFloat(p.ClockMHz, 'g', -1, 64)
-		keys[i] = k
-		if _, ok := rank[k]; !ok {
-			rank[k] = len(rank)
+		k := stageKey{p.System, p.Workload, p.ClockMHz}
+		r, ok := rank[k]
+		if !ok {
+			r = len(rank)
+			rank[k] = r
 		}
+		ranks[i] = r
+	}
+	// A counting sort by rank: stable, and linear in the points.
+	next := make([]int, len(rank)+1)
+	for _, r := range ranks {
+		next[r+1]++
+	}
+	for r := 1; r < len(next); r++ {
+		next[r] += next[r-1]
 	}
 	order := make([]int, len(points))
-	for i := range order {
-		order[i] = i
+	for i, r := range ranks {
+		order[next[r]] = i
+		next[r]++
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return rank[keys[order[a]]] < rank[keys[order[b]]]
-	})
 	return order
 }

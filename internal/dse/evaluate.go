@@ -21,13 +21,22 @@ import (
 // total), so a 10k-replica uncertainty sweep costs two pipeline runs,
 // not ten thousand.
 type evaluator struct {
-	useGrid carbon.Grid
-	m3dName string
-	cache   sync.Map // core key -> *coreEntry
+	// scenario is the paper's usage scenario on the flat use-phase grid,
+	// built once; a point with a CI_use scale copies it and swaps in a
+	// scaled profile.
+	scenario tcdp.Scenario
+	m3dName  string
+	cache    sync.Map // coreKey -> *coreEntry
 	// memo memoizes the individual pipeline stages underneath the tuple
 	// cache: two tuples differing only in grid replay embench, the eDRAM
 	// macro, synthesis and the floorplan instead of re-running them.
 	memo *core.Memo
+}
+
+// coreKey is a point's core coordinate, the tuple-cache key.
+type coreKey struct {
+	system, workload, grid string
+	clock                  float64
 }
 
 type coreEntry struct {
@@ -37,14 +46,19 @@ type coreEntry struct {
 }
 
 func newEvaluator(useGrid carbon.Grid, memo *core.Memo) *evaluator {
-	return &evaluator{useGrid: useGrid, m3dName: core.M3DSystem().Name, memo: memo}
+	scenario := tcdp.PaperScenario()
+	scenario.Profile = carbon.Flat(useGrid)
+	return &evaluator{scenario: scenario, m3dName: core.M3DSystem().Name, memo: memo}
 }
 
 // coreEval runs (or reuses) the five-stage pipeline for the point's core
 // coordinate.
 func (e *evaluator) coreEval(ctx context.Context, p Point) (*core.PPAtC, error) {
-	key := fmt.Sprintf("%s|%s|%s|%g", p.System, p.Workload, p.Grid.Name, p.ClockMHz)
-	v, _ := e.cache.LoadOrStore(key, &coreEntry{})
+	key := coreKey{system: p.System, workload: p.Workload, grid: p.Grid.Name, clock: p.ClockMHz}
+	v, ok := e.cache.Load(key)
+	if !ok {
+		v, _ = e.cache.LoadOrStore(key, &coreEntry{})
+	}
 	entry := v.(*coreEntry)
 	entry.once.Do(func() {
 		sys, err := core.SystemByName(p.System)
@@ -127,12 +141,10 @@ func (e *evaluator) evaluate(ctx context.Context, p Point) Result {
 	r.Yield = y
 	r.EmbodiedGoodDieG = emb
 
-	scenario := tcdp.PaperScenario()
-	prof := carbon.Profile(carbon.Flat(e.useGrid))
+	scenario := e.scenario
 	if p.CIUseScale != 1 {
-		prof = carbon.Scaled(prof, p.CIUseScale)
+		scenario.Profile = carbon.Scaled(scenario.Profile, p.CIUseScale)
 	}
-	scenario.Profile = prof
 	life := units.Months(p.LifetimeMonths)
 	tc, err := tcdp.TC(dp, scenario, life)
 	if err != nil {

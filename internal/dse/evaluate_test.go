@@ -1,0 +1,45 @@
+package dse
+
+import (
+	"context"
+	"testing"
+
+	"ppatc/internal/core"
+)
+
+// TestWarmEvaluatorAllocs pins a cache-hit point's allocations: once its
+// tuple is evaluated, a point costs its scaled CI_use profile and
+// nothing else — no formatted cache key, no discarded cache entry and
+// no scenario rebuilt per point.
+func TestWarmEvaluatorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector")
+	}
+	plan, err := Expand(mcSpec(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := newEvaluator(plan.UseGrid, core.NewMemo())
+	ctx := context.Background()
+	for _, p := range plan.Points {
+		if r := ev.evaluate(ctx, p); !r.Feasible {
+			t.Fatalf("point %d: %s", p.Index, r.Error)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		scale float64
+		want  float64
+	}{
+		{"unscaled CI_use", 1, 0},
+		{"scaled CI_use", 1.7, 1},
+	} {
+		p := plan.Points[0]
+		p.CIUseScale = tc.scale
+		got := testing.AllocsPerRun(100, func() { ev.evaluate(ctx, p) })
+		t.Logf("%s: %.0f allocations per warm point", tc.name, got)
+		if got > tc.want {
+			t.Errorf("%s: %.0f allocations per warm point, want ≤ %.0f", tc.name, got, tc.want)
+		}
+	}
+}

@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Result is one evaluated point: the resolved axis coordinate echoed
@@ -77,22 +81,27 @@ func MetricKeys() []string {
 
 // ValidMetric reports whether key names a Result metric.
 func ValidMetric(key string) bool {
+	_, ok := metricGetter(key)
+	return ok
+}
+
+// metricGetter returns the accessor of the metric named key.
+func metricGetter(key string) (func(*Result) float64, bool) {
 	for _, m := range metricKeys {
 		if m.key == key {
-			return true
+			return m.get, true
 		}
 	}
-	return false
+	return nil, false
 }
 
 // Metric reads one metric by key; ok is false for unknown keys.
 func (r *Result) Metric(key string) (v float64, ok bool) {
-	for _, m := range metricKeys {
-		if m.key == key {
-			return m.get(r), true
-		}
+	get, ok := metricGetter(key)
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return get(r), true
 }
 
 // groupKey identifies the point's coordinate with the system axis erased
@@ -111,28 +120,145 @@ func (r *Result) groupKey() string {
 }
 
 // MarshalLine encodes the result as one compact NDJSON line (with the
-// trailing newline).
+// trailing newline). Sweep lines run to about 600 bytes; the buffer
+// holds one in a single allocation.
 func (r *Result) MarshalLine() ([]byte, error) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	return r.AppendLine(make([]byte, 0, 640))
 }
 
-// WriteNDJSON streams results as newline-delimited JSON.
-func WriteNDJSON(w io.Writer, results []Result) error {
-	bw := bufio.NewWriter(w)
-	for i := range results {
-		line, err := results[i].MarshalLine()
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(line); err != nil {
-			return err
+// AppendLine appends the result's NDJSON line (with the trailing
+// newline) to b. The bytes are exactly json.Marshal's: fields in struct
+// order under the same omitempty rules and floats in encoding/json's
+// format. A NaN or ±Inf field is an error, as it is for json.Marshal,
+// and b is then returned unextended.
+func (r *Result) AppendLine(b []byte) ([]byte, error) {
+	for _, v := range [...]*float64{
+		&r.GridGPerKWh, &r.ClockMHz, &r.LifetimeMonths, &r.CIUseScale,
+		r.YieldD0, r.M3DYield, r.M3DEmbodiedScale,
+		&r.ExecTimeS, &r.OperationalPowerMW, &r.TotalAreaMM2, &r.EmbodiedWaferKG,
+		&r.EmbodiedGoodDieG, &r.Yield, &r.TCG, &r.TCDPGS,
+	} {
+		if v != nil && (math.IsNaN(*v) || math.IsInf(*v, 0)) {
+			return b, &json.UnsupportedValueError{Value: reflect.ValueOf(*v), Str: strconv.FormatFloat(*v, 'g', -1, 64)}
 		}
 	}
-	return bw.Flush()
+	b = append(b, `{"index":`...)
+	b = strconv.AppendInt(b, int64(r.Index), 10)
+	if r.Replica != 0 {
+		b = append(b, `,"replica":`...)
+		b = strconv.AppendInt(b, int64(r.Replica), 10)
+	}
+	b = appendJSONString(append(b, `,"system":`...), r.System)
+	b = appendJSONString(append(b, `,"workload":`...), r.Workload)
+	b = appendJSONString(append(b, `,"grid":`...), r.Grid)
+	b = appendJSONFloat(append(b, `,"grid_g_per_kwh":`...), r.GridGPerKWh)
+	b = appendJSONFloat(append(b, `,"clock_mhz":`...), r.ClockMHz)
+	b = appendJSONFloat(append(b, `,"lifetime_months":`...), r.LifetimeMonths)
+	b = appendJSONFloat(append(b, `,"ci_use_scale":`...), r.CIUseScale)
+	b = appendFloatPtr(b, `,"yield_d0":`, r.YieldD0)
+	b = appendFloatPtr(b, `,"m3d_yield":`, r.M3DYield)
+	b = appendFloatPtr(b, `,"m3d_embodied_scale":`, r.M3DEmbodiedScale)
+	b = strconv.AppendBool(append(b, `,"feasible":`...), r.Feasible)
+	if r.Error != "" {
+		b = appendJSONString(append(b, `,"error":`...), r.Error)
+	}
+	if r.Cycles != 0 {
+		b = strconv.AppendUint(append(b, `,"cycles":`...), r.Cycles, 10)
+	}
+	b = appendNonZero(b, `,"exec_time_s":`, r.ExecTimeS)
+	b = appendNonZero(b, `,"operational_power_mw":`, r.OperationalPowerMW)
+	b = appendNonZero(b, `,"total_area_mm2":`, r.TotalAreaMM2)
+	b = appendNonZero(b, `,"embodied_per_wafer_kg":`, r.EmbodiedWaferKG)
+	b = appendNonZero(b, `,"embodied_per_good_die_g":`, r.EmbodiedGoodDieG)
+	if r.DiesPerWafer != 0 {
+		b = strconv.AppendInt(append(b, `,"dies_per_wafer":`...), int64(r.DiesPerWafer), 10)
+	}
+	b = appendNonZero(b, `,"yield":`, r.Yield)
+	b = appendNonZero(b, `,"tc_g":`, r.TCG)
+	b = appendNonZero(b, `,"tcdp_gs":`, r.TCDPGS)
+	return append(b, '}', '\n'), nil
+}
+
+// appendNonZero appends an omitempty float field: key and v, unless v is
+// zero of either sign (encoding/json's omitempty test is v == 0).
+func appendNonZero(b []byte, key string, v float64) []byte {
+	if v == 0 {
+		return b
+	}
+	return appendJSONFloat(append(b, key...), v)
+}
+
+// appendFloatPtr appends an omitempty pointer field: key and *v, unless
+// v is nil.
+func appendFloatPtr(b []byte, key string, v *float64) []byte {
+	if v == nil {
+		return b
+	}
+	return appendJSONFloat(append(b, key...), *v)
+}
+
+// appendJSONFloat formats v as encoding/json does: the shortest 'f'
+// form, or 'e' below 1e-6 and from 1e21 in magnitude with a one-digit
+// negative exponent written without its leading zero (e-7, not e-07).
+func appendJSONFloat(b []byte, v float64) []byte {
+	abs := math.Abs(v)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		n := len(b)
+		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendJSONString quotes s as json.Marshal does. Printable ASCII other
+// than the quote, the backslash and the HTML-escaped <, > and & is
+// copied as is; any other string goes through json.Marshal itself, so
+// control bytes, HTML-safe escapes, U+2028/U+2029 and invalid UTF-8
+// come out exactly as encoding/json writes them.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// ndjsonChunk is how many encoded bytes WriteNDJSON gathers per Write.
+const ndjsonChunk = 64 << 10
+
+// WriteNDJSON streams results as newline-delimited JSON, encoding every
+// line into one reused buffer that is written out about every 64 KiB.
+func WriteNDJSON(w io.Writer, results []Result) error {
+	buf := make([]byte, 0, ndjsonChunk+4<<10)
+	for i := range results {
+		var err error
+		if buf, err = results[i].AppendLine(buf); err != nil {
+			return err
+		}
+		if len(buf) >= ndjsonChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
 // ReadNDJSON decodes a stream written by WriteNDJSON.

@@ -1,0 +1,221 @@
+package dse
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"reflect"
+	"testing"
+)
+
+func ptr(v float64) *float64 { return &v }
+
+// marshalReference is the line json.Marshal writes, the bytes
+// AppendLine must reproduce.
+func marshalReference(r *Result) ([]byte, error) {
+	b, err := json.Marshal(r)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+// checkLine asserts that AppendLine writes json.Marshal's line, or fails
+// with its error, and that it appends to a prefix without touching it.
+func checkLine(t *testing.T, name string, r *Result) {
+	t.Helper()
+	want, werr := marshalReference(r)
+	prefix := []byte("prefix")
+	got, gerr := r.AppendLine(prefix[:len(prefix):len(prefix)])
+	if werr != nil {
+		if gerr == nil || gerr.Error() != werr.Error() {
+			t.Errorf("%s: AppendLine error %v, json.Marshal error %v", name, gerr, werr)
+		}
+		if !bytes.Equal(got, prefix) {
+			t.Errorf("%s: a failed AppendLine returned %q, want the prefix unchanged", name, got)
+		}
+		return
+	}
+	if gerr != nil {
+		t.Errorf("%s: AppendLine: %v", name, gerr)
+		return
+	}
+	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Errorf("%s:\nAppendLine  %q\njson.Marshal %q", name, got[len(prefix):], want)
+	}
+}
+
+func TestAppendLineMatchesMarshal(t *testing.T) {
+	full := Result{
+		Index: 7, Replica: 3, System: "m3d", Workload: "huff", Grid: "US",
+		GridGPerKWh: 380, ClockMHz: 500, LifetimeMonths: 24, CIUseScale: 1.25,
+		YieldD0: ptr(0.1), M3DYield: ptr(0.5), M3DEmbodiedScale: ptr(1.1),
+		Feasible: true, Cycles: 20047423, ExecTimeS: 0.0400948, OperationalPowerMW: 3.21,
+		TotalAreaMM2: 0.52, EmbodiedWaferKG: 1234.5, EmbodiedGoodDieG: 3.80, DiesPerWafer: 120000,
+		Yield: 0.95, TCG: 27.400000000000002, TCDPGS: 1.0985,
+	}
+	with := func(f func(*Result)) Result {
+		r := full
+		f(&r)
+		return r
+	}
+	negZero := math.Copysign(0, -1)
+	rows := []struct {
+		name string
+		r    Result
+	}{
+		{"zero value", Result{}},
+		{"every field set", full},
+		{"nil pointers", with(func(r *Result) { r.YieldD0, r.M3DYield, r.M3DEmbodiedScale = nil, nil, nil })},
+		{"zero pointees", with(func(r *Result) { r.YieldD0, r.M3DYield, r.M3DEmbodiedScale = ptr(0), ptr(negZero), ptr(0) })},
+		{"infeasible, metrics omitted", Result{Index: 1, System: "si", Workload: "crc32", Grid: "Coal", GridGPerKWh: 820,
+			ClockMHz: 5000, LifetimeMonths: 24, CIUseScale: 1, Error: "core: timing closure failed at 5000 MHz"}},
+		{"negative zero", with(func(r *Result) {
+			r.GridGPerKWh, r.ClockMHz, r.ExecTimeS, r.TCG, r.YieldD0 = negZero, negZero, negZero, negZero, ptr(negZero)
+		})},
+		{"format edges", with(func(r *Result) {
+			r.GridGPerKWh, r.ClockMHz, r.LifetimeMonths, r.CIUseScale = 1e-7, 1e-6, 1e21, 5e-324
+			r.ExecTimeS, r.OperationalPowerMW, r.TotalAreaMM2 = math.MaxFloat64, -math.MaxFloat64, 9.999999999999999e20
+			r.EmbodiedWaferKG, r.EmbodiedGoodDieG, r.Yield = -1e-7, 1.5e-300, 123456789012345680000
+			r.TCG, r.TCDPGS = 1e-10, -2.5e25
+		})},
+		{"negative counters", with(func(r *Result) { r.Index, r.Replica, r.DiesPerWafer = -1, -2, -3 })},
+		{"max counters", with(func(r *Result) { r.Index, r.Cycles = math.MaxInt, math.MaxUint64 })},
+		{"HTML and quotes", with(func(r *Result) { r.Error = `a <b> & "c" \d` })},
+		{"less-than alone", with(func(r *Result) { r.Error = "a<b" })},
+		{"greater-than alone", with(func(r *Result) { r.Error = "a>b" })},
+		{"ampersand alone", with(func(r *Result) { r.Error = "a&b" })},
+		{"backslash alone", with(func(r *Result) { r.Error = `a\b` })},
+		{"quote alone", with(func(r *Result) { r.Error = `a"b` })},
+		{"control bytes", with(func(r *Result) { r.System, r.Error = "tab\there", "nul\x00 bell\a del\x7f\r\n" })},
+		{"line separators", with(func(r *Result) { r.Workload = "x\u2028y\u2029z" })},
+		{"non-ASCII", with(func(r *Result) { r.Grid = "Île-de-France ☀" })},
+		{"invalid UTF-8", with(func(r *Result) { r.Error = "bad \xff\xfe byte \xc3" })},
+		{"NaN", with(func(r *Result) { r.TCG = math.NaN() })},
+		{"+Inf", with(func(r *Result) { r.ClockMHz = math.Inf(1) })},
+		{"-Inf pointer", with(func(r *Result) { r.M3DYield = ptr(math.Inf(-1)) })},
+		{"NaN in an otherwise omitted field", Result{ExecTimeS: math.NaN()}},
+	}
+	for _, row := range rows {
+		checkLine(t, row.name, &row.r)
+	}
+	// Every float field, pointer or not, rejects NaN and ±Inf.
+	rt := reflect.TypeOf(full)
+	for i := 0; i < rt.NumField(); i++ {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			r := full
+			switch f := reflect.ValueOf(&r).Elem().Field(i); f.Interface().(type) {
+			case float64:
+				f.SetFloat(bad)
+			case *float64:
+				f.Set(reflect.ValueOf(ptr(bad)))
+			default:
+				continue
+			}
+			checkLine(t, fmt.Sprintf("%s = %v", rt.Field(i).Name, bad), &r)
+		}
+	}
+	// MarshalLine is AppendLine on an empty buffer.
+	want, _ := marshalReference(&full)
+	if got, err := full.MarshalLine(); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("MarshalLine = %q, %v; want %q", got, err, want)
+	}
+}
+
+// TestWriteNDJSONBuffersLines checks WriteNDJSON's stream against
+// json.Marshal line by line across several 64 KiB chunks, and that it
+// allocates once per call rather than once per line.
+func TestWriteNDJSONBuffersLines(t *testing.T) {
+	results := make([]Result, 2000)
+	var want bytes.Buffer
+	for i := range results {
+		results[i] = Result{
+			Index: i, System: "si", Workload: "huff", Grid: "US", GridGPerKWh: 380,
+			ClockMHz: 500, LifetimeMonths: float64(i%36 + 1), CIUseScale: 1 + float64(i)/7,
+			Feasible: true, Cycles: uint64(1000 + i), ExecTimeS: float64(i) / 3, TCG: float64(i) * 1.1,
+		}
+		line, err := marshalReference(&results[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(line)
+	}
+	var got bytes.Buffer
+	if err := WriteNDJSON(&got, results); err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() < 3*ndjsonChunk {
+		t.Fatalf("stream of %d bytes does not span several chunks", want.Len())
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("WriteNDJSON differs from json.Marshal lines")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector")
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := WriteNDJSON(io.Discard, results); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("WriteNDJSON of %d results: %.0f allocations, want ≤ 2", len(results), allocs)
+	}
+}
+
+// FuzzResultLine: for fuzzed field values AppendLine writes json.Marshal's
+// line or both fail, and the line reads back through ReadNDJSON to the
+// fields written (strings as json.Marshal coerces them to UTF-8).
+func FuzzResultLine(f *testing.F) {
+	f.Add(7, 3, "m3d", "huff", "US", "", true, uint64(20047423), 380.0, 500.0, 1e-7, 1e21, uint16(0xffff))
+	f.Add(0, 0, "si", "crc32", "Coal", "core: timing <closure> & \"fail\"", false, uint64(0), math.Copysign(0, -1), 5e-324, math.MaxFloat64, -1e-6, uint16(0))
+	f.Add(-1, 1, "\xff", "\u2028", "\x00", "\\", true, uint64(math.MaxUint64), math.NaN(), math.Inf(1), 1.0, 2.0, uint16(0x5555))
+	f.Fuzz(func(t *testing.T, index, replica int, system, workload, grid, errStr string, feasible bool,
+		cycles uint64, a, b, c, d float64, mask uint16) {
+		vals := [4]float64{a, b, c, d}
+		pick := func(bit int) float64 { // bit-selected zero or value
+			if mask&(1<<bit) == 0 {
+				return 0
+			}
+			return vals[bit%4]
+		}
+		pickPtr := func(bit int) *float64 {
+			if mask&(1<<bit) == 0 {
+				return nil
+			}
+			return ptr(vals[bit%4])
+		}
+		r := Result{
+			Index: index, Replica: replica, System: system, Workload: workload, Grid: grid,
+			GridGPerKWh: a, ClockMHz: b, LifetimeMonths: c, CIUseScale: d,
+			YieldD0: pickPtr(0), M3DYield: pickPtr(1), M3DEmbodiedScale: pickPtr(2),
+			Feasible: feasible, Error: errStr, Cycles: cycles,
+			ExecTimeS: pick(3), OperationalPowerMW: pick(4), TotalAreaMM2: pick(5),
+			EmbodiedWaferKG: pick(6), EmbodiedGoodDieG: pick(7), DiesPerWafer: int(mask >> 12),
+			Yield: pick(9), TCG: pick(10), TCDPGS: pick(11),
+		}
+		want, werr := marshalReference(&r)
+		got, gerr := r.AppendLine(nil)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("AppendLine error %v, json.Marshal error %v", gerr, werr)
+		}
+		if werr != nil {
+			return
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendLine  %q\njson.Marshal %q", got, want)
+		}
+		back, err := ReadNDJSON(bytes.NewReader(got))
+		if err != nil || len(back) != 1 {
+			t.Fatalf("ReadNDJSON(%q) = %d results, %v", got, len(back), err)
+		}
+		for _, s := range []*string{&r.System, &r.Workload, &r.Grid, &r.Error} {
+			*s = string([]rune(*s)) // invalid bytes → U+FFFD, as encoding/json writes them
+		}
+		if !reflect.DeepEqual(back[0], r) {
+			t.Fatalf("round trip:\nwrote %+v\nread  %+v", r, back[0])
+		}
+	})
+}

@@ -251,10 +251,11 @@ func TestStageMemoConcurrentWhatIfs(t *testing.T) {
 
 // TestStageMemoIdentityAndBound sweeps the whole validated request
 // domain twice through a one-entry response cache, so every request
-// reaches the stage memo. Every memoized body must equal the fresh
-// (nil-memo, ?trace=1) result byte for byte, and the memo must hold
-// exactly the bounded key set — if a future endpoint widens the keys a
-// request can reach, the miss counts here move.
+// reaches the stage memo. Every memoized body must equal byte for byte
+// the fresh result of a ?trace=1 request, which evaluates through a
+// memo of its own, and the memo must hold exactly the bounded key set
+// — if a future endpoint widens the keys a request can reach, the miss
+// counts here move.
 func TestStageMemoIdentityAndBound(t *testing.T) {
 	cfg := quietConfig()
 	cfg.CacheEntries, cfg.CacheShards = 1, 1
@@ -297,7 +298,7 @@ func TestStageMemoIdentityAndBound(t *testing.T) {
 	// domain's 192 evaluations: skipped in -short runs, and narrowed to
 	// the first grid's requests under the race detector.
 	if testing.Short() {
-		t.Skip("nil-memo identity sweep")
+		t.Skip("fresh-memo identity sweep")
 	}
 	if raceEnabled {
 		reqs = reqs[:len(reqs)/len(carbon.Grids())]
