@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -44,18 +43,13 @@ func runSweep(ctx context.Context, specPath string, workers int, storeDir string
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
 	defer stop()
 
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
+	// Lines stream through one encoder; the deferred Flush writes the
+	// ones before an error or an interrupt.
+	enc := dse.NewEncoder(os.Stdout)
+	defer enc.Flush()
 	opts := dse.Options{
-		Workers: workers,
-		OnResult: func(r dse.Result) error {
-			line, err := r.MarshalLine()
-			if err != nil {
-				return err
-			}
-			_, err = out.Write(line)
-			return err
-		},
+		Workers:  workers,
+		OnResult: func(r dse.Result) error { return enc.Encode(&r) },
 	}
 	var st *store.SegmentStore
 	if storeDir != "" {
@@ -90,7 +84,7 @@ func runSweep(ctx context.Context, specPath string, workers int, storeDir string
 			return err
 		}
 	}
-	if err := out.Flush(); err != nil {
+	if err := enc.Flush(); err != nil {
 		return err
 	}
 

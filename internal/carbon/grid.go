@@ -145,31 +145,87 @@ func (p *HourlyProfile) MeanWindow(startHour, endHour float64) units.CarbonInten
 // meanWindow numerically averages any profile over a daily window, sampling
 // on a fine grid so that piecewise-constant and smooth profiles are both
 // handled. Windows may wrap midnight.
+//
+// Every sample of a constant profile is its intensity, so a flat
+// profile's quadrature is the same value added 2,400 times, and
+// repeatedSum returns those additions' exact bits without making them
+// one by one. The exact mean, the intensity itself, differs in the last
+// digits: returning it is an open correctness change that moves pinned
+// sweep and suite outputs.
 func meanWindow(p Profile, startHour, endHour float64) units.CarbonIntensity {
 	const steps = 2400
-	var sum float64
 	if f, ok := p.(FlatProfile); ok {
-		// Every sample of a constant profile is its intensity, so this
-		// loop makes the quadrature's additions in the quadrature's order
-		// and its result is the same to the bit, without an At call per
-		// sample. The exact mean, the intensity itself, differs in the
-		// last digits: returning it is an open correctness change that
-		// moves pinned sweep and suite outputs.
-		v := float64(f.Intensity)
-		for i := 0; i < steps; i++ {
-			sum += v
-		}
-		return units.CarbonIntensity(sum / steps)
+		return units.CarbonIntensity(repeatedSum(float64(f.Intensity), steps) / steps)
 	}
 	span := endHour - startHour
 	if span <= 0 {
 		span += 24
 	}
+	var sum float64
 	for i := 0; i < steps; i++ {
 		h := startHour + span*(float64(i)+0.5)/steps
 		sum += float64(p.At(h))
 	}
 	return units.CarbonIntensity(sum / steps)
+}
+
+// repeatedSum returns the bits of `for i := 0; i < n; i++ { s += v }`
+// from s = 0 in O(binades) steps rather than n.
+//
+// Inside one binade of the running sum every float is a multiple of one
+// ulp u, so an addition whose result stays below the binade's top
+// rounds s+v to a multiple of u. Off a tie, the increment is v rounded
+// to a multiple of u whatever s is. At a half-ulp tie, round-half-even
+// leaves s an even multiple of u, after which every increment is the
+// same even multiple. So two equal increments inside one binade repeat
+// until the sum reaches the top, and the loop adds k of them at once:
+// s + k·d is a multiple of u below the top, so the sum is exact.
+func repeatedSum(v float64, n int) float64 {
+	if v < 0 && n > 0 {
+		// Round-to-nearest-even is symmetric, and a sum of equal signs
+		// never returns to zero.
+		return -repeatedSum(-v, n)
+	}
+	if !(v > 0) || math.IsInf(v, 0) {
+		// ±0 (whose sum is +0), NaN and +Inf: the loop itself.
+		var s float64
+		for i := 0; i < n; i++ {
+			s += v
+		}
+		return s
+	}
+	const fracMask = 1<<52 - 1
+	s, inc := 0.0, -1.0 // inc: the last increment taken inside one binade
+	for i := 0; i < n; {
+		next := s + v
+		i++
+		nb, sb := math.Float64bits(next), math.Float64bits(s)
+		if nb>>52 != sb>>52 {
+			if math.IsInf(next, 1) {
+				return next
+			}
+			s, inc = next, -1
+			continue
+		}
+		d := next - s // exact: both are multiples of u in one binade
+		//ppatcvet:ignore floatcmp exact: both increments are exact multiples of one ulp
+		if d == inc {
+			// Integer significands in units of u; subnormals share the
+			// smallest normal binade's ulp but stop at its bottom.
+			m, top := nb&fracMask, uint64(1)<<52
+			if nb>>52 != 0 {
+				m, top = m|1<<52, 1<<53
+			}
+			k := n - i
+			if q := nb - sb; q > 0 { // one exponent: the fractions' difference
+				k = min(k, int((top-1-m)/q))
+			}
+			next += float64(k) * d
+			i += k
+		}
+		s, inc = next, d
+	}
+	return s
 }
 
 // wholeHour reports h as an integral hour when it is one up to the

@@ -59,6 +59,79 @@ func TestFlatMeanWindowMatchesQuadrature(t *testing.T) {
 			}
 		}
 	}
+	// Edge rows: half-ulp ties (an odd last significand bit), partial
+	// sums that land on a power of two, subnormals, zeros of both signs
+	// (the loop's sum of -0 is +0), values whose sum overflows and the
+	// non-finite values the loop passes through.
+	for _, v := range flatEdgeValues() {
+		base := FlatProfile{Intensity: units.CarbonIntensity(v)}
+		for _, w := range meanWindows[:2] {
+			got, want := MeanWindow(base, w[0], w[1]), quadratureMean(base, w[0], w[1])
+			if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+				t.Fatalf("flat %v (%#x) over %v: MeanWindow = %v (%#x), quadrature = %v (%#x)",
+					v, math.Float64bits(v), w, got, math.Float64bits(float64(got)), want, math.Float64bits(float64(want)))
+			}
+		}
+	}
+}
+
+// flatEdgeValues lists the intensities where a shortcut through the
+// 2,400 additions of a flat window mean is most likely to go wrong.
+func flatEdgeValues() []float64 {
+	maxPer := math.MaxFloat64 / 2400
+	vals := []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		1, 0.25, 1.0 / 3, 0.1, 380, 2400, 1 << 20, 1.0 / 2400, 2.0 / 2400,
+		1 + 0x1p-52, 3 + 0x1p-51, 0x1p-5, 0x1.fffffffffffffp0, 0x1.0000000000001p10,
+		math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64, 0x1p-1030,
+		0x1p-1022 / 3, 0x1p-1022 / 2400, 0x1p-1022, 0x1.fffffffffffffp-1023,
+		maxPer, math.Nextafter(maxPer, 0), math.Nextafter(maxPer, math.Inf(1)),
+		maxPer * (1 - 1e-12), maxPer * (1 + 1e-12), math.MaxFloat64 / 2048,
+		math.MaxFloat64 / 4096, math.MaxFloat64 / 2, math.MaxFloat64,
+	}
+	for _, v := range vals[:len(vals):len(vals)] {
+		vals = append(vals, -v)
+	}
+	return vals
+}
+
+// TestRepeatedSumMatchesLoop checks repeatedSum against the loop it
+// replaces over random bit patterns (every exponent, either sign) and
+// the edge values, at every count up to the quadrature's and beyond.
+func TestRepeatedSumMatchesLoop(t *testing.T) {
+	loop := func(v float64, n int) float64 {
+		var s float64
+		for i := 0; i < n; i++ {
+			s += v
+		}
+		return s
+	}
+	check := func(v float64, n int) {
+		t.Helper()
+		if got, want := repeatedSum(v, n), loop(v, n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("repeatedSum(%v (%#x), %d) = %v (%#x), loop gives %v (%#x)",
+				v, math.Float64bits(v), n, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, v := range flatEdgeValues() {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 64, 2399, 2400, 2401, 5000} {
+			check(v, n)
+		}
+	}
+	rng := rand.New(rand.NewPCG(26, 1))
+	for i := 0; i < 100_000; i++ {
+		var v float64
+		if i%2 == 0 {
+			v = math.Float64frombits(rng.Uint64()) // any bit pattern
+		} else {
+			v = 2000 * rng.Float64() // intensities and their scales
+		}
+		n := 2400
+		if i%4 == 1 {
+			n = 1 + rng.IntN(5000)
+		}
+		check(v, n)
+	}
 }
 
 func TestScaledFlatProfileMatchesScaledProfile(t *testing.T) {

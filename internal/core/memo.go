@@ -43,11 +43,13 @@ import (
 // caller's key domain. EvaluateContext, Table2Context, SuiteContext and
 // ClockSweep get a memo for one call, so the two designs share one ISA
 // simulation per workload. The DAG's leaves, embench and edram, share
-// no inputs, so a pair evaluation (Table2Context, EvaluatePairContext,
-// the suite) runs the missing ones concurrently, one simulation and two
-// eDRAM builds at once, before either design's evaluation replays them.
-// A sweep, whose spec axes (clock, custom intensities) make keys
-// unbounded, gets a memo for one run. A memo may live for a whole
+// no inputs, so FanOutLeaves runs the missing ones concurrently before
+// any evaluation replays them: one simulation and two eDRAM builds at
+// once for a pair evaluation (Table2Context, EvaluatePairContext, each
+// workload of the suite), and every simulation and build of a sweep's
+// workloads and designs at once before its workers start. A sweep,
+// whose spec axes (clock, custom intensities) make keys unbounded, gets
+// a memo for one run. A memo may live for a whole
 // process only when every caller evaluates bundled designs at their own
 // clock over a bounded key domain — the daemon's validated requests
 // reach at most 8 workloads, 2 designs and the named grids, so its
@@ -77,7 +79,7 @@ func (m *Memo) EvaluatePairContext(ctx context.Context, w embench.Workload, grid
 // Callers build each design once and pass it in; rebuilding them here
 // would repeat their process-flow construction.
 func evaluatePair(ctx context.Context, m *Memo, si, m3d SystemDesign, w embench.Workload, grid carbon.Grid) (*PPAtC, *PPAtC, error) {
-	if err := fanOutLeaves(ctx, m, w, si, m3d); err != nil {
+	if err := m.FanOutLeaves(ctx, []embench.Workload{w}, []SystemDesign{si, m3d}); err != nil {
 		return nil, nil, err
 	}
 	a, err := m.EvaluateContext(ctx, si, w, grid)
@@ -248,85 +250,112 @@ func buildEDRAM(ctx context.Context, sys SystemDesign) (any, error) {
 	return mem, nil
 }
 
-// fanOutLeaves runs the leaf stages of a pair evaluation concurrently:
-// the ISA simulation of w and the eDRAM builds of both designs. They
-// share no inputs (embench ← workload, edram ← design), so they can
-// overlap, and the two evaluations that follow replay all three from
-// the memo. Each leaf still missing from the memo runs once; a leaf the
-// memo already holds starts nothing, so a warm memo returns at once
-// without allocating.
+// FanOutLeaves runs the leaf stages of a set of evaluations
+// concurrently: the ISA simulation of every workload in ws and the
+// eDRAM build of every design in designs. Leaves share no inputs
+// (embench ← workload, edram ← design), so they can overlap, and the
+// evaluations that follow replay them from the memo. Each leaf still
+// missing from the memo runs once, however often its key repeats in ws
+// or designs; a leaf the memo already holds starts nothing, so a warm
+// memo returns at once without allocating. Names reach only the bundled
+// kernels and designs wherever they come from a request or a spec, so
+// one fan-out runs at most 8 simulations and 2 eDRAM builds.
 //
 // A leaf's error stays in the memo (memoFill caches it) for the
 // evaluations to replay in their own order, so a failing design reports
-// exactly the error a sequential evaluation would. fanOutLeaves itself
+// exactly the error a sequential evaluation would. FanOutLeaves itself
 // returns only ctx's error, checked before the first leaf starts and
 // after the last one ends.
-func fanOutLeaves(ctx context.Context, m *Memo, w embench.Workload, si, m3d SystemDesign) error {
-	missing := [numLeaves]bool{
-		!memoHas(m, memoStageEmbench, w.Name),
-		!memoHas(m, memoStageEDRAM, si.Name),
-		!memoHas(m, memoStageEDRAM, m3d.Name),
-	}
-	if missing == [numLeaves]bool{} {
+func (m *Memo) FanOutLeaves(ctx context.Context, ws []embench.Workload, designs []SystemDesign) error {
+	if !m.missingLeaf(ws, designs) {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	runLeaves(ctx, m, w, si, m3d, missing)
+	m.runLeaves(ctx, ws, designs)
 	return ctx.Err()
 }
 
-// numLeaves counts a pair evaluation's leaf stages: one ISA simulation
-// and two eDRAM builds.
-const numLeaves = 3
+// missingLeaf reports whether any leaf of ws and designs is still
+// missing from the memo.
+func (m *Memo) missingLeaf(ws []embench.Workload, designs []SystemDesign) bool {
+	for i := range ws {
+		if !memoHas(m, memoStageEmbench, ws[i].Name) {
+			return true
+		}
+	}
+	for i := range designs {
+		if !memoHas(m, memoStageEDRAM, designs[i].Name) {
+			return true
+		}
+	}
+	return false
+}
 
-// runLeaves runs the missing leaves under one "leaves" span: all but
-// the last on goroutines of their own, the last on the caller's. It
-// returns after every leaf has finished. It is split from fanOutLeaves
-// so that the warm path never pays for the closures and the heap copies
-// of the designs that the goroutines need.
-func runLeaves(ctx context.Context, m *Memo, w embench.Workload, si, m3d SystemDesign, missing [numLeaves]bool) {
+// leaf is one leaf stage of a fan-out: the simulation of w (stage
+// memoStageEmbench) or the eDRAM build of sys.
+type leaf struct {
+	stage int
+	key   string
+	w     embench.Workload
+	sys   SystemDesign
+}
+
+// runLeaves runs the missing leaves, one per distinct key, under one
+// "leaves" span: all but the last on goroutines of their own, the last
+// on the caller's. It returns after every leaf has finished. It is
+// split from FanOutLeaves so that the warm path never pays for the
+// leaf list, the closures and the heap copies of the designs that the
+// goroutines need.
+func (m *Memo) runLeaves(ctx context.Context, ws []embench.Workload, designs []SystemDesign) {
+	todo := make([]leaf, 0, len(ws)+len(designs))
+	add := func(l leaf) {
+		if memoHas(m, l.stage, l.key) {
+			return
+		}
+		for i := range todo {
+			if todo[i].stage == l.stage && todo[i].key == l.key {
+				return
+			}
+		}
+		todo = append(todo, l)
+	}
+	for _, w := range ws {
+		add(leaf{stage: memoStageEmbench, key: w.Name, w: w})
+	}
+	for _, sys := range designs {
+		add(leaf{stage: memoStageEDRAM, key: sys.Name, sys: sys})
+	}
+	if len(todo) == 0 {
+		return // another caller filled them since missingLeaf looked
+	}
 	ctx, span := obs.StartSpan(ctx, "leaves")
 	defer span.End()
 	// A leaf that gets its turn after ctx is done (say, one that waited
 	// on another caller's run of the same key) does not start its stage;
 	// memoFill caches no cancellation.
-	fill := func(stage int, key string, run func() (any, error)) {
-		_, _, _ = memoFill(m, stage, key, func() (any, error) {
+	run := func(l *leaf) {
+		_, _, _ = memoFill(m, l.stage, l.key, func() (any, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			return run()
+			if l.stage == memoStageEmbench {
+				return runEmbench(ctx, l.w)
+			}
+			return buildEDRAM(ctx, l.sys)
 		})
 	}
-	leaf := func(i int) {
-		switch i {
-		case 0:
-			fill(memoStageEmbench, w.Name, func() (any, error) { return runEmbench(ctx, w) })
-		case 1:
-			fill(memoStageEDRAM, si.Name, func() (any, error) { return buildEDRAM(ctx, si) })
-		default:
-			fill(memoStageEDRAM, m3d.Name, func() (any, error) { return buildEDRAM(ctx, m3d) })
-		}
-	}
-	last := 0
-	for i, miss := range missing {
-		if miss {
-			last = i
-		}
-	}
+	last := len(todo) - 1
 	var wg sync.WaitGroup
-	for i := range last {
-		if missing[i] {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				leaf(i)
-			}()
-		}
+	wg.Add(last)
+	for i := range todo[:last] {
+		go func() {
+			defer wg.Done()
+			run(&todo[i])
+		}()
 	}
-	leaf(last)
+	run(&todo[last])
 	wg.Wait()
 }
 

@@ -255,6 +255,116 @@ func TestPairFanOutCancellation(t *testing.T) {
 	}
 }
 
+// TestFanOutLeavesSet pins the fan-out over a set of workloads and
+// designs, the shape a sweep uses: repeated names run once, a trace
+// shows one "leaves" span with one simulation per workload and one
+// build per design, a second fan-out starts nothing, and a context
+// cancelled before the fan-out, or during it while every leaf waits on
+// another caller's entry, caches nothing and leaves no goroutine behind.
+func TestFanOutLeavesSet(t *testing.T) {
+	var ws []embench.Workload
+	for _, name := range []string{"huff", "crc32", "huff"} {
+		w, err := embench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	designs := []SystemDesign{AllSiSystem(), M3DSystem(), AllSiSystem()}
+	start := runtime.NumGoroutine()
+
+	m := NewMemo()
+	tr := obs.NewTrace("")
+	if err := m.FanOutLeaves(obs.WithTrace(context.Background(), tr), ws, designs); err != nil {
+		t.Fatal(err)
+	}
+	tree := tr.Tree()
+	if len(tree) != 1 || tree[0].Name != "leaves" {
+		t.Fatalf("trace roots = %+v, want one leaves span", tree)
+	}
+	if got := spanCounts(tree[0].Children); len(got) != 2 || got[StageEmbench] != 2 || got[StageEDRAM] != 2 {
+		t.Errorf("leaves span holds %v, want 2 %s and 2 %s", got, StageEmbench, StageEDRAM)
+	}
+	want := map[string]MemoStageStats{StageEmbench: {Misses: 2}, StageEDRAM: {Misses: 2}}
+	for stage, st := range m.Stats() {
+		if st != want[stage] {
+			t.Errorf("%s: %+v after the fan-out, want %+v", stage, st, want[stage])
+		}
+	}
+	tr = obs.NewTrace("")
+	if err := m.FanOutLeaves(obs.WithTrace(context.Background(), tr), ws, designs); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tr.Tree()); n != 0 {
+		t.Errorf("a warm fan-out opened %d spans, want none", n)
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	m = NewMemo()
+	if err := m.FanOutLeaves(cancelled, ws, designs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled fan-out: err = %v, want context.Canceled", err)
+	}
+	assertMemoEmpty(t, m, "pre-cancelled fan-out")
+
+	// Mid-fan-out: another caller holds every leaf's entry, so each leaf
+	// waits; the context is cancelled once the leaves span is open, then
+	// the entries are released unfilled and no leaf may start.
+	m = NewMemo()
+	var held []*memoEntry
+	for _, key := range []struct {
+		stage int
+		name  string
+	}{{memoStageEmbench, "huff"}, {memoStageEmbench, "crc32"}, {memoStageEDRAM, AllSiName}, {memoStageEDRAM, M3DName}} {
+		v, _ := m.entries[key.stage].LoadOrStore(key.name, &memoEntry{})
+		e := v.(*memoEntry)
+		e.mu.Lock()
+		held = append(held, e)
+	}
+	tr = obs.NewTrace("")
+	ctx, cancel := context.WithCancel(obs.WithTrace(context.Background(), tr))
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() { errc <- m.FanOutLeaves(ctx, ws, designs) }()
+	for spanCounts(tr.Tree())["leaves"] == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	for _, e := range held {
+		e.mu.Unlock()
+	}
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("fan-out cancelled midway: err = %v, want context.Canceled", err)
+	}
+	assertMemoEmpty(t, m, "fan-out cancelled midway")
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Errorf("%d goroutines after the fan-outs, %d before", n, start)
+	}
+}
+
+// assertMemoEmpty fails unless m ran no stage and holds no result.
+func assertMemoEmpty(t *testing.T, m *Memo, what string) {
+	t.Helper()
+	for stage, st := range m.Stats() {
+		if st != (MemoStageStats{}) {
+			t.Errorf("%s touched the %s stage: %+v", what, stage, st)
+		}
+	}
+	for stage := range m.entries {
+		m.entries[stage].Range(func(key, v any) bool {
+			if v.(*memoEntry).done.Load() {
+				t.Errorf("%s cached %s %v", what, Stages()[stage], key)
+			}
+			return true
+		})
+	}
+}
+
 // TestPairWarmMemoAllocs guards the daemon's what-if path: on a warm
 // memo, EvaluatePairContext allocates no more than the two
 // EvaluateContext calls on freshly built designs that it replaced. A

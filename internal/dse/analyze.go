@@ -226,21 +226,23 @@ func Winners(results []Result, obj Objective) (*WinnerSummary, error) {
 	if !ValidMetric(obj.Metric) {
 		return nil, fmt.Errorf("dse: unknown metric %q", obj.Metric)
 	}
-	groups := map[string][]*Result{}
-	var order []string
+	slot := map[winnerKey]int{}
+	var groups [][]*Result // in order of first occurrence
 	for i := range results {
-		k := results[i].groupKey()
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
+		k := newWinnerKey(&results[i])
+		g, seen := slot[k]
+		if !seen {
+			g = len(groups)
+			slot[k] = g
+			groups = append(groups, nil)
 		}
-		groups[k] = append(groups[k], &results[i])
+		groups[g] = append(groups[g], &results[i])
 	}
 	w := &WinnerSummary{
 		Metric: obj.Metric, Maximize: obj.Maximize,
 		Wins: map[string]int{}, Probability: map[string]float64{},
 	}
-	for _, k := range order {
-		group := groups[k]
+	for _, group := range groups {
 		var best *Result
 		var bestV float64
 		tie := false
@@ -276,6 +278,46 @@ func Winners(results []Result, obj Objective) (*WinnerSummary, error) {
 		w.Probability[sys] = float64(n) / float64(w.Groups)
 	}
 	return w, nil
+}
+
+// winnerKey is a result's coordinate with the system axis erased:
+// results sharing a key are paired observations of different systems.
+// Floats key on their bits with every NaN as one, so two values group
+// exactly when %g prints them alike (0 and -0 apart, any NaNs together).
+type winnerKey struct {
+	workload, grid                 string
+	clock, lifetime, ciUse         uint64
+	replica                        int
+	yieldD0, m3dYield, m3dEmbodied optBits
+}
+
+// optBits keys an optional axis: absent, or present with its bits.
+type optBits struct {
+	set  bool
+	bits uint64
+}
+
+func newWinnerKey(r *Result) winnerKey {
+	opt := func(p *float64) optBits {
+		if p == nil {
+			return optBits{}
+		}
+		return optBits{true, keyBits(*p)}
+	}
+	return winnerKey{
+		workload: r.Workload, grid: r.Grid,
+		clock: keyBits(r.ClockMHz), lifetime: keyBits(r.LifetimeMonths), ciUse: keyBits(r.CIUseScale),
+		replica: r.Replica,
+		yieldD0: opt(r.YieldD0), m3dYield: opt(r.M3DYield), m3dEmbodied: opt(r.M3DEmbodiedScale),
+	}
+}
+
+// keyBits is v's bits, with every NaN mapped to one value.
+func keyBits(v float64) uint64 {
+	if math.IsNaN(v) {
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(v)
 }
 
 // FormatWinners renders the win-probability summary.

@@ -254,9 +254,16 @@ func openSegmentStore(t *testing.T, dir string) *store.SegmentStore {
 
 // TestResume cancels a sweep mid-run, reopens its segment store, resumes
 // from the stored points, and verifies via the obs counter that no point
-// was evaluated twice.
+// was evaluated twice. Recording stops at the point whose OnComplete
+// cancels, also on the Monte Carlo spec, whose workers hand points over
+// in runs of 50.
 func TestResume(t *testing.T) {
-	spec := testSpec()
+	for _, spec := range []*Spec{testSpec(), mcSpec(200)} {
+		t.Run(spec.Name, func(t *testing.T) { testResume(t, spec) })
+	}
+}
+
+func testResume(t *testing.T, spec *Spec) {
 	plan, err := Expand(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -289,8 +296,9 @@ func TestResume(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c1.Load() == 0 || c1.Load() >= int64(len(plan.Points)) {
-		t.Fatalf("first run recorded %d points, want strictly between 0 and %d", c1.Load(), len(plan.Points))
+	if c1.Load() != 3 || recorded.Load() != 3 {
+		t.Fatalf("first run recorded %d points (%d OnComplete calls), want the 3 up to the cancel",
+			c1.Load(), recorded.Load())
 	}
 
 	// Resume: reopen the store, feed its results back in.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ppatc/internal/core"
 	"ppatc/internal/obs"
@@ -40,9 +41,10 @@ type Options struct {
 // Run expands the spec and evaluates every point on a worker pool.
 // Results are returned (and streamed via OnResult) in plan order, and
 // are identical for any worker count: the plan expansion is serial, the
-// per-point work is a pure function of the point, and a reorder buffer
-// restores index order at the collector. Cancelling ctx stops the run
-// early with ctx.Err(); points already handed to OnComplete are durable.
+// per-point work is a pure function of the point, and every result
+// lands in its own plan slot, released in index order. Cancelling ctx
+// stops the run early with ctx.Err(); points already handed to
+// OnComplete are durable.
 func Run(ctx context.Context, spec *Spec, opts Options) ([]Result, error) {
 	plan, err := Expand(spec)
 	if err != nil {
@@ -73,9 +75,6 @@ func RunPlanRange(ctx context.Context, plan *Plan, lo, hi int, opts Options) ([]
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > total {
-		workers = total
-	}
 	if total == 0 {
 		return nil, fmt.Errorf("dse: empty plan")
 	}
@@ -86,65 +85,12 @@ func RunPlanRange(ctx context.Context, plan *Plan, lo, hi int, opts Options) ([]
 	if span != nil {
 		span.SetStr("spec", plan.Spec.Name)
 		span.SetFloat("points", float64(total))
-		span.SetFloat("workers", float64(workers))
 		defer span.End()
 	}
 
-	memo := opts.Memo
-	if memo == nil {
-		memo = core.NewMemo()
-	}
-	ev := newEvaluator(plan.UseGrid, memo)
-	todo := make(chan Point)
-	done := make(chan Result, workers)
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for p := range todo {
-				r := ev.evaluate(ctx, p)
-				if ctx.Err() != nil {
-					return // a cancelled evaluation is not a result
-				}
-				select {
-				case done <- r:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-
-	// Feeder: skip resumed points, stop on cancellation. Points are
-	// fed in memo-locality order — grouped by core tuple so points
-	// sharing stage inputs run close together — which never changes
-	// results or output order (the collector's reorder buffer releases
-	// by plan index regardless of evaluation order).
-	go func() {
-		defer close(todo)
-		for _, i := range feedOrder(points) {
-			p := points[i]
-			if _, ok := opts.Completed[p.Index]; ok {
-				continue
-			}
-			select {
-			case todo <- p:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-
-	// Collector: record completions as they land (OnComplete), release
-	// results in index order (OnResult) through a reorder buffer. The
-	// done channel is always drained so the workers never block on send.
-	// Buffer slots are range-relative; Result.Index stays absolute.
+	// Results are written in place: resumed ones now, fresh ones by the
+	// worker that evaluates them. Slots are range-relative; Result.Index
+	// stays absolute.
 	results := make([]Result, total)
 	present := make([]bool, total)
 	for i, r := range opts.Completed {
@@ -173,42 +119,135 @@ func RunPlanRange(ctx context.Context, plan *Plan, lo, hi int, opts Options) ([]
 		}
 	}
 	if err := release(); err != nil {
-		fail(err)
+		return nil, err
 	}
-	for r := range done {
-		if runErr != nil {
-			continue // drain
+
+	// The feed: every point still to evaluate, in memo-locality order —
+	// grouped by core tuple so points sharing stage inputs run close
+	// together — which never changes results or output order (release
+	// goes by plan index whatever the evaluation order). Each distinct
+	// system and workload among them resolves once, and their leaf
+	// stages run concurrently before any worker starts.
+	memo := opts.Memo
+	if memo == nil {
+		memo = core.NewMemo()
+	}
+	ev := newEvaluator(plan.UseGrid, memo)
+	order := feedOrder(points)
+	feed := order[:0]
+	for _, i := range order {
+		if !present[i] {
+			feed = append(feed, i)
+			ev.resolve(&points[i])
 		}
-		if opts.OnComplete != nil {
-			if err := opts.OnComplete(r); err != nil {
-				fail(fmt.Errorf("dse: completion hook: %w", err))
-				continue
+	}
+	if len(feed) > 0 {
+		if err := memo.FanOutLeaves(ctx, ev.kernels, ev.designs); err != nil {
+			return nil, runCause(ctx, err)
+		}
+	}
+
+	// Workers claim runs of the feed through a shared cursor, evaluate
+	// each point into its own results slot and hand the collector the
+	// finished run. A run that ends after a cancellation is dropped: a
+	// cancelled evaluation is not a result.
+	batch := min(maxBatch, max(1, len(feed)/(workers*batchesPerWorker)))
+	if n := (len(feed) + batch - 1) / batch; workers > n {
+		workers = n
+	}
+	if span != nil {
+		span.SetFloat("workers", float64(workers))
+	}
+	var cursor atomic.Int64
+	// Room for one run per worker, so that a hand-off seldom waits on a
+	// collector busy in the OnComplete and OnResult hooks.
+	done := make(chan feedRun, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				from := int(cursor.Add(int64(batch))) - batch
+				if from >= len(feed) {
+					return
+				}
+				to := min(from+batch, len(feed))
+				for _, i := range feed[from:to] {
+					results[i] = ev.evaluate(ctx, &points[i])
+				}
+				if ctx.Err() != nil {
+					return
+				}
+				done <- feedRun{from, to}
 			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+
+	// Collector: record completions as their runs land (OnComplete),
+	// release results in index order (OnResult). done is always drained,
+	// so a worker never blocks on its hand-off for long. Recording stops
+	// at the first point after a cancellation, wherever it falls in a
+	// run.
+	for run := range done {
+		for _, i := range feed[run.from:run.to] {
+			if runErr != nil || ctx.Err() != nil {
+				break // drain
+			}
+			if opts.OnComplete != nil {
+				if err := opts.OnComplete(results[i]); err != nil {
+					fail(fmt.Errorf("dse: completion hook: %w", err))
+					break
+				}
+			}
+			// Counted only once durably recorded, so a cancel+resume pair
+			// evaluates every point exactly once between them.
+			if opts.EvalCounter != nil {
+				opts.EvalCounter.Add(1)
+			}
+			present[i] = true
 		}
-		// Counted only once durably recorded, so a cancel+resume pair
-		// evaluates every point exactly once between them.
-		if opts.EvalCounter != nil {
-			opts.EvalCounter.Add(1)
-		}
-		results[r.Index-lo] = r
-		present[r.Index-lo] = true
-		if err := release(); err != nil {
-			fail(err)
+		if runErr == nil {
+			if err := release(); err != nil {
+				fail(err)
+			}
 		}
 	}
 	if runErr != nil {
 		return nil, runErr
 	}
 	if err := ctx.Err(); err != nil {
-		if cause := context.Cause(ctx); cause != nil {
-			return nil, cause
-		}
-		return nil, err
+		return nil, runCause(ctx, err)
 	}
 	if next != total {
 		return nil, fmt.Errorf("dse: internal: released %d of %d points", next, total)
 	}
 	return results, nil
+}
+
+// A worker claims up to maxBatch points of the feed at a time, fewer on
+// a short feed so that every worker gets about batchesPerWorker runs:
+// one claim and one hand-off per run instead of per point, while a
+// small sweep of cold points still spreads over the pool.
+const (
+	maxBatch         = 64
+	batchesPerWorker = 4
+)
+
+// feedRun is a finished run of the feed, positions [from, to).
+type feedRun struct{ from, to int }
+
+// runCause is the error of a run whose context ended: the cause it was
+// cancelled with, if any, else err.
+func runCause(ctx context.Context, err error) error {
+	if cause := context.Cause(ctx); cause != nil {
+		return cause
+	}
+	return err
 }
 
 // feedOrder returns the points' positions in evaluation-feed order:

@@ -20,17 +20,38 @@ import (
 // PPAtC result (Eqs. 5-8 are linear in 1/yield, CI_use and the embodied
 // total), so a 10k-replica uncertainty sweep costs two pipeline runs,
 // not ten thousand.
+//
+// Before the workers start, resolve looks each distinct system and
+// workload name up once, and the run fans out the leaf stages of every
+// resolved kernel and design, every ISA simulation and eDRAM build of
+// the run at once. A tuple then evaluates its resolved design, with only
+// its Clock set on its copy, and replays both leaves from the memo. A
+// name that does not resolve keeps its error, which every point naming
+// it reports.
 type evaluator struct {
 	// scenario is the paper's usage scenario on the flat use-phase grid,
 	// built once; a point with a CI_use scale copies it and swaps in a
 	// scaled profile.
 	scenario tcdp.Scenario
-	m3dName  string
 	cache    sync.Map // coreKey -> *coreEntry
 	// memo memoizes the individual pipeline stages underneath the tuple
 	// cache: two tuples differing only in grid replay embench, the eDRAM
 	// macro, synthesis and the floorplan instead of re-running them.
 	memo *core.Memo
+	// systems and workloads map every name resolve has seen to its
+	// design or kernel (or lookup error); designs and kernels list the
+	// resolved ones in first-seen order. All four are read-only once the
+	// workers start.
+	systems   map[string]resolved[core.SystemDesign]
+	workloads map[string]resolved[embench.Workload]
+	designs   []core.SystemDesign
+	kernels   []embench.Workload
+}
+
+// resolved is a name lookup's outcome.
+type resolved[T any] struct {
+	v   T
+	err error
 }
 
 // coreKey is a point's core coordinate, the tuple-cache key.
@@ -48,12 +69,36 @@ type coreEntry struct {
 func newEvaluator(useGrid carbon.Grid, memo *core.Memo) *evaluator {
 	scenario := tcdp.PaperScenario()
 	scenario.Profile = carbon.Flat(useGrid)
-	return &evaluator{scenario: scenario, m3dName: core.M3DSystem().Name, memo: memo}
+	return &evaluator{
+		scenario:  scenario,
+		memo:      memo,
+		systems:   make(map[string]resolved[core.SystemDesign]),
+		workloads: make(map[string]resolved[embench.Workload]),
+	}
+}
+
+// resolve looks up p's system and workload unless an earlier point
+// named them. Every point the evaluator runs must be resolved first.
+func (e *evaluator) resolve(p *Point) {
+	if _, ok := e.systems[p.System]; !ok {
+		sys, err := core.SystemByName(p.System)
+		e.systems[p.System] = resolved[core.SystemDesign]{sys, err}
+		if err == nil {
+			e.designs = append(e.designs, sys)
+		}
+	}
+	if _, ok := e.workloads[p.Workload]; !ok {
+		w, err := embench.ByName(p.Workload)
+		e.workloads[p.Workload] = resolved[embench.Workload]{w, err}
+		if err == nil {
+			e.kernels = append(e.kernels, w)
+		}
+	}
 }
 
 // coreEval runs (or reuses) the five-stage pipeline for the point's core
 // coordinate.
-func (e *evaluator) coreEval(ctx context.Context, p Point) (*core.PPAtC, error) {
+func (e *evaluator) coreEval(ctx context.Context, p *Point) (*core.PPAtC, error) {
 	key := coreKey{system: p.System, workload: p.Workload, grid: p.Grid.Name, clock: p.ClockMHz}
 	v, ok := e.cache.Load(key)
 	if !ok {
@@ -61,20 +106,20 @@ func (e *evaluator) coreEval(ctx context.Context, p Point) (*core.PPAtC, error) 
 	}
 	entry := v.(*coreEntry)
 	entry.once.Do(func() {
-		sys, err := core.SystemByName(p.System)
-		if err != nil {
-			entry.err = err
+		sys, wl := e.systems[p.System], e.workloads[p.Workload]
+		if sys.err != nil {
+			entry.err = sys.err
 			return
 		}
+		if wl.err != nil {
+			entry.err = wl.err
+			return
+		}
+		design := sys.v
 		if p.ClockMHz > 0 {
-			sys.Clock = units.Megahertz(p.ClockMHz)
+			design.Clock = units.Megahertz(p.ClockMHz)
 		}
-		wl, err := embench.ByName(p.Workload)
-		if err != nil {
-			entry.err = err
-			return
-		}
-		entry.res, entry.err = e.memo.EvaluateContext(ctx, sys, wl, p.Grid)
+		entry.res, entry.err = e.memo.EvaluateContext(ctx, design, wl.v, p.Grid)
 	})
 	return entry.res, entry.err
 }
@@ -83,7 +128,7 @@ func (e *evaluator) coreEval(ctx context.Context, p Point) (*core.PPAtC, error) 
 // (Error set, Feasible false for timing misses) rather than aborting the
 // sweep: a sweep that straddles the feasibility boundary is the common
 // case, not an exception.
-func (e *evaluator) evaluate(ctx context.Context, p Point) Result {
+func (e *evaluator) evaluate(ctx context.Context, p *Point) Result {
 	r := Result{
 		Index:            p.Index,
 		Replica:          p.Replica,
@@ -124,7 +169,7 @@ func (e *evaluator) evaluate(ctx context.Context, p Point) Result {
 	if p.YieldD0 != nil {
 		y = math.Exp(-*p.YieldD0 * res.TotalArea.SquareCentimeters())
 	}
-	if p.M3DYield != nil && p.System == e.m3dName {
+	if p.M3DYield != nil && p.System == core.M3DName {
 		y = *p.M3DYield
 	}
 	if y <= 0 || y > 1 {
@@ -133,7 +178,7 @@ func (e *evaluator) evaluate(ctx context.Context, p Point) Result {
 		return r
 	}
 	emb := dp.Embodied.Grams() * dp.Yield / y
-	if p.M3DEmbodiedScale != nil && p.System == e.m3dName {
+	if p.M3DEmbodiedScale != nil && p.System == core.M3DName {
 		emb *= *p.M3DEmbodiedScale
 	}
 	dp.Embodied = units.GramsCO2e(emb)

@@ -21,7 +21,9 @@ func TestWarmEvaluatorAllocs(t *testing.T) {
 	}
 	ev := newEvaluator(plan.UseGrid, core.NewMemo())
 	ctx := context.Background()
-	for _, p := range plan.Points {
+	for i := range plan.Points {
+		p := &plan.Points[i]
+		ev.resolve(p)
 		if r := ev.evaluate(ctx, p); !r.Feasible {
 			t.Fatalf("point %d: %s", p.Index, r.Error)
 		}
@@ -36,7 +38,7 @@ func TestWarmEvaluatorAllocs(t *testing.T) {
 	} {
 		p := plan.Points[0]
 		p.CIUseScale = tc.scale
-		got := testing.AllocsPerRun(100, func() { ev.evaluate(ctx, p) })
+		got := testing.AllocsPerRun(100, func() { ev.evaluate(ctx, &p) })
 		t.Logf("%s: %.0f allocations per warm point", tc.name, got)
 		if got > tc.want {
 			t.Errorf("%s: %.0f allocations per warm point, want ≤ %.0f", tc.name, got, tc.want)

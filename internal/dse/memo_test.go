@@ -3,10 +3,12 @@ package dse
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
 	"ppatc/internal/core"
+	"ppatc/internal/obs"
 )
 
 // mixedAxisSpec is the memo's showcase shape: a grid-intensity axis
@@ -55,8 +57,10 @@ func TestMemoByteIdenticalNDJSON(t *testing.T) {
 		t.Fatalf("memoized run: %v", err)
 	}
 	isolated := make([]Result, len(plan.Points))
-	for i, p := range plan.Points {
-		isolated[i] = newEvaluator(plan.UseGrid, core.NewMemo()).evaluate(context.Background(), p)
+	for i := range plan.Points {
+		ev := newEvaluator(plan.UseGrid, core.NewMemo())
+		ev.resolve(&plan.Points[i])
+		isolated[i] = ev.evaluate(context.Background(), &plan.Points[i])
 	}
 	if a, b := ndjson(t, isolated), ndjson(t, memoized); !bytes.Equal(a, b) {
 		t.Fatalf("shared-memo NDJSON differs from per-point evaluation:\n--- isolated ---\n%s--- shared memo ---\n%s", a, b)
@@ -134,5 +138,91 @@ func TestFeedOrderPreservesOutput(t *testing.T) {
 			t.Fatalf("feed order splits group %s (positions %d and %d)", key, prev, rank)
 		}
 		last[key] = rank
+	}
+}
+
+// TestSweepFansOutLeaves pins the plan-wide leaf fan-out: a 2-system ×
+// 2-workload sweep runs each ISA simulation and eDRAM build exactly
+// once, all four under one "leaves" span inside the sweep's span,
+// before any tuple evaluates; every tuple then replays both of its
+// leaves. A resumed run whose points are all stored runs none, and a
+// cancelled context runs none and caches nothing.
+func TestSweepFansOutLeaves(t *testing.T) {
+	spec := &Spec{
+		Name: "fan-out",
+		Axes: Axes{
+			System:   []string{"si", "m3d"},
+			Workload: []string{"huff", "crc32"},
+			Grid:     &GridAxis{Names: []string{"US", "Coal"}},
+		},
+	}
+	plan, err := Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := core.NewMemo()
+	tr := obs.NewTrace("")
+	results, err := RunPlan(obs.WithTrace(context.Background(), tr), plan, Options{Workers: 2, Memo: memo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := tr.Tree()
+	if len(tree) != 1 || tree[0].Name != "sweep" || len(tree[0].Children) == 0 || tree[0].Children[0].Name != "leaves" {
+		t.Fatalf("trace = %+v, want a sweep span whose first child is leaves", tree)
+	}
+	if got := spanNames(tree[0].Children[0].Children); len(got) != 2 || got[core.StageEmbench] != 2 || got[core.StageEDRAM] != 2 {
+		t.Errorf("leaves span holds %v, want 2 %s and 2 %s", got, core.StageEmbench, core.StageEDRAM)
+	}
+	if got := spanNames(tree); got[core.StageEmbench] != 2 || got[core.StageEDRAM] != 2 {
+		t.Errorf("trace holds %d %s and %d %s spans, want each leaf once", got[core.StageEmbench], core.StageEmbench, got[core.StageEDRAM], core.StageEDRAM)
+	}
+	// 8 tuples (2 systems × 2 workloads × 2 grids), each replaying its
+	// simulation and its eDRAM build.
+	stats := memo.Stats()
+	for _, stage := range []string{core.StageEmbench, core.StageEDRAM} {
+		if got, want := stats[stage], (core.MemoStageStats{Hits: 8, Misses: 2}); got != want {
+			t.Errorf("%s: %+v, want %+v", stage, got, want)
+		}
+	}
+
+	completed := make(map[int]Result, len(results))
+	for _, r := range results {
+		completed[r.Index] = r
+	}
+	memo = core.NewMemo()
+	if _, err := RunPlan(context.Background(), plan, Options{Completed: completed, Memo: memo}); err != nil {
+		t.Fatal(err)
+	}
+	assertNoStageRan(t, memo, "fully resumed run")
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	memo = core.NewMemo()
+	if _, err := RunPlan(cancelled, plan, Options{Memo: memo}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	assertNoStageRan(t, memo, "cancelled run")
+	if runs := memo.StageRuns(); len(runs) != 0 {
+		t.Errorf("cancelled run cached %d stage runs", len(runs))
+	}
+}
+
+func spanNames(nodes []obs.SpanNode) map[string]int {
+	out := map[string]int{}
+	for _, n := range nodes {
+		out[n.Name]++
+		for name, c := range spanNames(n.Children) {
+			out[name] += c
+		}
+	}
+	return out
+}
+
+func assertNoStageRan(t *testing.T, memo *core.Memo, what string) {
+	t.Helper()
+	for stage, st := range memo.Stats() {
+		if st != (core.MemoStageStats{}) {
+			t.Errorf("%s: %s %+v, want untouched", what, stage, st)
+		}
 	}
 }

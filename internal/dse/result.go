@@ -104,34 +104,53 @@ func (r *Result) Metric(key string) (v float64, ok bool) {
 	return get(r), true
 }
 
-// groupKey identifies the point's coordinate with the system axis erased
-// — results sharing a key are paired observations of different systems.
-func (r *Result) groupKey() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s|%s|%g|%g|%g|%d", r.Workload, r.Grid, r.ClockMHz, r.LifetimeMonths, r.CIUseScale, r.Replica)
-	for _, p := range []*float64{r.YieldD0, r.M3DYield, r.M3DEmbodiedScale} {
-		if p == nil {
-			sb.WriteString("|-")
-		} else {
-			fmt.Fprintf(&sb, "|%g", *p)
-		}
-	}
-	return sb.String()
-}
-
-// MarshalLine encodes the result as one compact NDJSON line (with the
-// trailing newline). Sweep lines run to about 600 bytes; the buffer
-// holds one in a single allocation.
-func (r *Result) MarshalLine() ([]byte, error) {
-	return r.AppendLine(make([]byte, 0, 640))
-}
-
 // AppendLine appends the result's NDJSON line (with the trailing
 // newline) to b. The bytes are exactly json.Marshal's: fields in struct
 // order under the same omitempty rules and floats in encoding/json's
 // format. A NaN or ±Inf field is an error, as it is for json.Marshal,
 // and b is then returned unextended.
 func (r *Result) AppendLine(b []byte) ([]byte, error) {
+	return (*lineEncoder)(nil).appendLine(b, r)
+}
+
+// Float fields in line order: lineEncoder's slots.
+const (
+	fGrid = iota
+	fClock
+	fLifetime
+	fCIUse
+	fYieldD0
+	fM3DYield
+	fM3DEmbodied
+	fExecTime
+	fPower
+	fArea
+	fWafer
+	fGoodDie
+	fYield
+	fTC
+	fTCDP
+	numFloatFields
+)
+
+// lineEncoder writes AppendLine's bytes, remembering each float field's
+// last bits and formatted bytes: a sweep's lines repeat their tuple's
+// values, so a field whose bits equal the line before copies its bytes
+// instead of formatting them again. A nil *lineEncoder remembers
+// nothing, which is AppendLine.
+type lineEncoder struct {
+	last [numFloatFields]floatText
+}
+
+// floatText is one float field's last formatted value; n == 0 when
+// there is none.
+type floatText struct {
+	bits uint64
+	n    uint8
+	text [25]byte // the longest encoding/json float, -0.0000012345678901234567
+}
+
+func (e *lineEncoder) appendLine(b []byte, r *Result) ([]byte, error) {
 	for _, v := range [...]*float64{
 		&r.GridGPerKWh, &r.ClockMHz, &r.LifetimeMonths, &r.CIUseScale,
 		r.YieldD0, r.M3DYield, r.M3DEmbodiedScale,
@@ -151,13 +170,13 @@ func (r *Result) AppendLine(b []byte) ([]byte, error) {
 	b = appendJSONString(append(b, `,"system":`...), r.System)
 	b = appendJSONString(append(b, `,"workload":`...), r.Workload)
 	b = appendJSONString(append(b, `,"grid":`...), r.Grid)
-	b = appendJSONFloat(append(b, `,"grid_g_per_kwh":`...), r.GridGPerKWh)
-	b = appendJSONFloat(append(b, `,"clock_mhz":`...), r.ClockMHz)
-	b = appendJSONFloat(append(b, `,"lifetime_months":`...), r.LifetimeMonths)
-	b = appendJSONFloat(append(b, `,"ci_use_scale":`...), r.CIUseScale)
-	b = appendFloatPtr(b, `,"yield_d0":`, r.YieldD0)
-	b = appendFloatPtr(b, `,"m3d_yield":`, r.M3DYield)
-	b = appendFloatPtr(b, `,"m3d_embodied_scale":`, r.M3DEmbodiedScale)
+	b = e.appendFloat(append(b, `,"grid_g_per_kwh":`...), fGrid, r.GridGPerKWh)
+	b = e.appendFloat(append(b, `,"clock_mhz":`...), fClock, r.ClockMHz)
+	b = e.appendFloat(append(b, `,"lifetime_months":`...), fLifetime, r.LifetimeMonths)
+	b = e.appendFloat(append(b, `,"ci_use_scale":`...), fCIUse, r.CIUseScale)
+	b = e.appendFloatPtr(b, `,"yield_d0":`, fYieldD0, r.YieldD0)
+	b = e.appendFloatPtr(b, `,"m3d_yield":`, fM3DYield, r.M3DYield)
+	b = e.appendFloatPtr(b, `,"m3d_embodied_scale":`, fM3DEmbodied, r.M3DEmbodiedScale)
 	b = strconv.AppendBool(append(b, `,"feasible":`...), r.Feasible)
 	if r.Error != "" {
 		b = appendJSONString(append(b, `,"error":`...), r.Error)
@@ -165,36 +184,54 @@ func (r *Result) AppendLine(b []byte) ([]byte, error) {
 	if r.Cycles != 0 {
 		b = strconv.AppendUint(append(b, `,"cycles":`...), r.Cycles, 10)
 	}
-	b = appendNonZero(b, `,"exec_time_s":`, r.ExecTimeS)
-	b = appendNonZero(b, `,"operational_power_mw":`, r.OperationalPowerMW)
-	b = appendNonZero(b, `,"total_area_mm2":`, r.TotalAreaMM2)
-	b = appendNonZero(b, `,"embodied_per_wafer_kg":`, r.EmbodiedWaferKG)
-	b = appendNonZero(b, `,"embodied_per_good_die_g":`, r.EmbodiedGoodDieG)
+	b = e.appendNonZero(b, `,"exec_time_s":`, fExecTime, r.ExecTimeS)
+	b = e.appendNonZero(b, `,"operational_power_mw":`, fPower, r.OperationalPowerMW)
+	b = e.appendNonZero(b, `,"total_area_mm2":`, fArea, r.TotalAreaMM2)
+	b = e.appendNonZero(b, `,"embodied_per_wafer_kg":`, fWafer, r.EmbodiedWaferKG)
+	b = e.appendNonZero(b, `,"embodied_per_good_die_g":`, fGoodDie, r.EmbodiedGoodDieG)
 	if r.DiesPerWafer != 0 {
 		b = strconv.AppendInt(append(b, `,"dies_per_wafer":`...), int64(r.DiesPerWafer), 10)
 	}
-	b = appendNonZero(b, `,"yield":`, r.Yield)
-	b = appendNonZero(b, `,"tc_g":`, r.TCG)
-	b = appendNonZero(b, `,"tcdp_gs":`, r.TCDPGS)
+	b = e.appendNonZero(b, `,"yield":`, fYield, r.Yield)
+	b = e.appendNonZero(b, `,"tc_g":`, fTC, r.TCG)
+	b = e.appendNonZero(b, `,"tcdp_gs":`, fTCDP, r.TCDPGS)
 	return append(b, '}', '\n'), nil
+}
+
+// appendFloat appends the float field in slot as appendJSONFloat
+// formats it, copying the slot's last bytes when v has its last bits.
+func (e *lineEncoder) appendFloat(b []byte, slot int, v float64) []byte {
+	if e == nil {
+		return appendJSONFloat(b, v)
+	}
+	last, bits := &e.last[slot], math.Float64bits(v)
+	if last.n != 0 && last.bits == bits {
+		return append(b, last.text[:last.n]...)
+	}
+	start := len(b)
+	b = appendJSONFloat(b, v)
+	if n := len(b) - start; n <= len(last.text) {
+		last.bits, last.n = bits, uint8(copy(last.text[:], b[start:]))
+	}
+	return b
 }
 
 // appendNonZero appends an omitempty float field: key and v, unless v is
 // zero of either sign (encoding/json's omitempty test is v == 0).
-func appendNonZero(b []byte, key string, v float64) []byte {
+func (e *lineEncoder) appendNonZero(b []byte, key string, slot int, v float64) []byte {
 	if v == 0 {
 		return b
 	}
-	return appendJSONFloat(append(b, key...), v)
+	return e.appendFloat(append(b, key...), slot, v)
 }
 
 // appendFloatPtr appends an omitempty pointer field: key and *v, unless
 // v is nil.
-func appendFloatPtr(b []byte, key string, v *float64) []byte {
+func (e *lineEncoder) appendFloatPtr(b []byte, key string, slot int, v *float64) []byte {
 	if v == nil {
 		return b
 	}
-	return appendJSONFloat(append(b, key...), *v)
+	return e.appendFloat(append(b, key...), slot, *v)
 }
 
 // appendJSONFloat formats v as encoding/json does: the shortest 'f'
@@ -235,30 +272,58 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// ndjsonChunk is how many encoded bytes WriteNDJSON gathers per Write.
+// ndjsonChunk is how many encoded bytes an Encoder gathers per Write.
 const ndjsonChunk = 64 << 10
 
-// WriteNDJSON streams results as newline-delimited JSON, encoding every
-// line into one reused buffer that is written out about every 64 KiB.
-func WriteNDJSON(w io.Writer, results []Result) error {
-	buf := make([]byte, 0, ndjsonChunk+4<<10)
-	for i := range results {
-		var err error
-		if buf, err = results[i].AppendLine(buf); err != nil {
-			return err
-		}
-		if len(buf) >= ndjsonChunk {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
+// Encoder writes results as NDJSON lines, AppendLine's bytes, into one
+// reused buffer that it writes out about every 64 KiB and on Flush.
+// Float values repeated from the line before are copied, not formatted
+// again. An Encoder serves one stream and is not safe for concurrent
+// use.
+type Encoder struct {
+	w    io.Writer
+	buf  []byte
+	line lineEncoder
+}
+
+// NewEncoder returns an Encoder writing to w.
+func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
+
+// Encode buffers r's line, writing the buffer out once it holds 64 KiB.
+// A result that cannot be encoded returns json.Marshal's error and
+// buffers nothing; the lines before it stay buffered for Flush.
+func (e *Encoder) Encode(r *Result) error {
+	var err error
+	if e.buf, err = e.line.appendLine(e.buf, r); err != nil {
+		return err
 	}
-	if len(buf) == 0 {
+	if len(e.buf) >= ndjsonChunk {
+		return e.Flush()
+	}
+	return nil
+}
+
+// Flush writes out the buffered lines.
+func (e *Encoder) Flush() error {
+	if len(e.buf) == 0 {
 		return nil
 	}
-	_, err := w.Write(buf)
+	_, err := e.w.Write(e.buf)
+	e.buf = e.buf[:0]
 	return err
+}
+
+// WriteNDJSON streams results as newline-delimited JSON through one
+// Encoder. A result that cannot be encoded ends the stream with its
+// error, leaving the lines buffered before it unwritten.
+func WriteNDJSON(w io.Writer, results []Result) error {
+	enc := Encoder{w: w, buf: make([]byte, 0, ndjsonChunk+4<<10)}
+	for i := range results {
+		if err := enc.Encode(&results[i]); err != nil {
+			return err
+		}
+	}
+	return enc.Flush()
 }
 
 // ReadNDJSON decodes a stream written by WriteNDJSON.

@@ -117,11 +117,6 @@ func TestAppendLineMatchesMarshal(t *testing.T) {
 			checkLine(t, fmt.Sprintf("%s = %v", rt.Field(i).Name, bad), &r)
 		}
 	}
-	// MarshalLine is AppendLine on an empty buffer.
-	want, _ := marshalReference(&full)
-	if got, err := full.MarshalLine(); err != nil || !bytes.Equal(got, want) {
-		t.Errorf("MarshalLine = %q, %v; want %q", got, err, want)
-	}
 }
 
 // TestWriteNDJSONBuffersLines checks WriteNDJSON's stream against
@@ -165,6 +160,76 @@ func TestWriteNDJSONBuffersLines(t *testing.T) {
 	}
 }
 
+// TestEncoderReusesOnlyEqualBits streams lines that repeat, alternate
+// and omit fields through one Encoder, whose float fields copy their
+// last bytes when the bits repeat: every line must still be
+// json.Marshal's. ±0 differ in bits and print apart, omitted zeros
+// leave a field's last bytes in place for the line after, and a NaN in
+// a field just reused fails with json.Marshal's error, leaving the
+// lines before it exactly as they were and the encoder usable.
+func TestEncoderReusesOnlyEqualBits(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	base := Result{
+		Index: 1, System: "si", Workload: "huff", Grid: "US", GridGPerKWh: 380, ClockMHz: 500,
+		LifetimeMonths: 24, CIUseScale: 1.25, M3DYield: ptr(0.5), Feasible: true, Cycles: 9,
+		ExecTimeS: 0.04, OperationalPowerMW: 3.21, TotalAreaMM2: 0.52, EmbodiedWaferKG: 1234.5,
+		EmbodiedGoodDieG: 3.8, DiesPerWafer: 7, Yield: 0.95, TCG: 27.4, TCDPGS: 1.0985,
+	}
+	alt := base
+	alt.GridGPerKWh, alt.CIUseScale, alt.M3DYield, alt.TCG = 820, 0.7, ptr(0.9), 31.5
+	with := func(r Result, f func(*Result)) Result { f(&r); return r }
+	lines := []Result{
+		base, base, alt, base, alt, alt,
+		with(base, func(r *Result) { r.GridGPerKWh, r.ClockMHz = 0, negZero }),
+		with(base, func(r *Result) { r.GridGPerKWh, r.ClockMHz = negZero, 0 }),
+		with(base, func(r *Result) { r.GridGPerKWh, r.ClockMHz = negZero, 0 }),
+		with(base, func(r *Result) { r.ExecTimeS, r.TCG, r.M3DYield = 0, negZero, nil }),
+		base,
+		with(base, func(r *Result) { r.M3DYield, r.YieldD0 = ptr(negZero), ptr(0) }),
+		with(base, func(r *Result) { r.M3DYield, r.YieldD0 = ptr(0), ptr(negZero) }),
+		with(base, func(r *Result) { r.Feasible, r.Error, r.ExecTimeS, r.TCG, r.TCDPGS = false, "x", 0, 0, 0 }),
+		base,
+	}
+	var got, want bytes.Buffer
+	enc := NewEncoder(&got)
+	for i := range lines {
+		line, err := marshalReference(&lines[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(line)
+		if err := enc.Encode(&lines[i]); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+	}
+	// A NaN where the line before reused TCG's bytes.
+	bad := with(base, func(r *Result) { r.TCG = math.NaN() })
+	_, werr := marshalReference(&bad)
+	if err := enc.Encode(&bad); err == nil || werr == nil || err.Error() != werr.Error() {
+		t.Fatalf("NaN line: Encode error %v, json.Marshal error %v", err, werr)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("Encoder lines before the error differ from json.Marshal's:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+	}
+	// The encoder goes on after the error, its remembered bytes intact.
+	for _, r := range []Result{base, alt, base} {
+		line, _ := marshalReference(&r)
+		want.Write(line)
+		if err := enc.Encode(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("Encoder lines after the error differ from json.Marshal's:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+	}
+}
+
 // FuzzResultLine: for fuzzed field values AppendLine writes json.Marshal's
 // line or both fail, and the line reads back through ReadNDJSON to the
 // fields written (strings as json.Marshal coerces them to UTF-8).
@@ -196,7 +261,31 @@ func FuzzResultLine(f *testing.F) {
 			EmbodiedWaferKG: pick(6), EmbodiedGoodDieG: pick(7), DiesPerWafer: int(mask >> 12),
 			Yield: pick(9), TCG: pick(10), TCDPGS: pick(11),
 		}
+		// A second line through WriteNDJSON after r: a and b swap, and
+		// the rotated mask moves which fields are zero or absent, so the
+		// encoder meets repeated, alternated and omitted fields.
+		vals, mask = [4]float64{b, a, c, d}, mask>>1|mask<<15
+		r2 := r
+		r2.GridGPerKWh, r2.ClockMHz = b, a
+		r2.YieldD0, r2.M3DYield, r2.M3DEmbodiedScale = pickPtr(0), pickPtr(1), pickPtr(2)
+		r2.ExecTimeS, r2.OperationalPowerMW, r2.TotalAreaMM2 = pick(3), pick(4), pick(5)
+		r2.EmbodiedWaferKG, r2.EmbodiedGoodDieG, r2.Yield, r2.TCG, r2.TCDPGS = pick(6), pick(7), pick(9), pick(10), pick(11)
+		want2, werr2 := marshalReference(&r2)
+		var stream bytes.Buffer
+		serr := WriteNDJSON(&stream, []Result{r, r2})
 		want, werr := marshalReference(&r)
+		firstErr := werr
+		if firstErr == nil {
+			firstErr = werr2
+		}
+		if firstErr != nil {
+			// The error ends the stream before its buffer is written.
+			if serr == nil || serr.Error() != firstErr.Error() || stream.Len() != 0 {
+				t.Fatalf("WriteNDJSON wrote %q, error %v; json.Marshal error %v", stream.Bytes(), serr, firstErr)
+			}
+		} else if serr != nil || !bytes.Equal(stream.Bytes(), append(append([]byte(nil), want...), want2...)) {
+			t.Fatalf("WriteNDJSON %q, %v\njson.Marshal %q%q", stream.Bytes(), serr, want, want2)
+		}
 		got, gerr := r.AppendLine(nil)
 		if (werr != nil) != (gerr != nil) {
 			t.Fatalf("AppendLine error %v, json.Marshal error %v", gerr, werr)

@@ -121,7 +121,7 @@ func PersistSweep(st store.ResultStore, id string, results []Result) error {
 }
 
 // LoadSweep reads a stored sweep result set back. The NDJSON rendering
-// of the returned slice (Result.MarshalLine per element) is
+// of the returned slice (an Encoder over its elements) is
 // byte-identical to the live stream that produced it: Result marshals
 // with fixed field order and shortest-round-trip floats.
 func LoadSweep(st store.ResultStore, id string) ([]Result, bool, error) {

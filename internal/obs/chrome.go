@@ -11,13 +11,13 @@ import (
 // ("ph":"X") events are emitted: one per span, with ts/dur in integer
 // microseconds relative to the trace start.
 type ChromeEvent struct {
-	Name   string            `json:"name"`
-	Phase  string            `json:"ph"`
-	TsUS   int64             `json:"ts"`
-	DurUS  int64             `json:"dur"`
-	PID    int               `json:"pid"`
-	TID    int               `json:"tid"`
-	Args   map[string]string `json:"args,omitempty"`
+	Name  string            `json:"name"`
+	Phase string            `json:"ph"`
+	TsUS  int64             `json:"ts"`
+	DurUS int64             `json:"dur"`
+	PID   int               `json:"pid"`
+	TID   int               `json:"tid"`
+	Args  map[string]string `json:"args,omitempty"`
 }
 
 // ChromeEvents flattens the trace into complete events, depth first, so

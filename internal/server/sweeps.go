@@ -365,6 +365,7 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
+	enc := dse.NewEncoder(w)
 	sent := 0
 	for {
 		j.mu.Lock()
@@ -373,13 +374,13 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 		notify := j.notify
 		j.mu.Unlock()
 		for ; sent < len(results); sent++ {
-			line, err := results[sent].MarshalLine()
-			if err != nil {
+			if err := enc.Encode(&results[sent]); err != nil {
+				_ = enc.Flush() // the lines before the failing one still go out
 				return
 			}
-			if _, err := w.Write(line); err != nil {
-				return
-			}
+		}
+		if err := enc.Flush(); err != nil {
+			return
 		}
 		if flusher != nil {
 			flusher.Flush()
