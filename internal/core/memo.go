@@ -76,6 +76,8 @@ func (m *Memo) EvaluatePairContext(ctx context.Context, w embench.Workload, grid
 // evaluatePair is the one pair evaluation behind EvaluatePairContext
 // (and so Table2Context) and the suite: the leaf fan-out, then both
 // designs through Memo.EvaluateContext, where every leaf is a memo hit.
+// The suite fans out all its workloads' leaves first, so there the
+// pair's fan-out finds them in the memo and starts nothing.
 // Callers build each design once and pass it in; rebuilding them here
 // would repeat their process-flow construction.
 func evaluatePair(ctx context.Context, m *Memo, si, m3d SystemDesign, w embench.Workload, grid carbon.Grid) (*PPAtC, *PPAtC, error) {

@@ -140,13 +140,14 @@ func TestEvaluateTraceSpans(t *testing.T) {
 	}
 }
 
-// TestSuiteTraceSpans asserts SuiteContext groups per-workload spans
-// under one "suite" root without interleaving. Each workload span holds
-// its pair evaluation: one "leaves" span, then the two evaluate spans.
-// The suite's memo runs each stage once per key, so across the trace
-// there is one embench span per workload and one edram, synth,
+// TestSuiteTraceSpans asserts SuiteContext's span shape under one
+// "suite" root: first one "leaves" span holding every workload's embench
+// span and both edram spans (the suite's one leaf fan-out), then one
+// span per workload holding its two evaluate spans, without
+// interleaving. The suite's memo runs each stage once per key, so across
+// the trace there is one embench span per workload and one edram, synth,
 // floorplan and carbon span per design, and the leaf stages appear only
-// under the leaves spans.
+// under the leaves span.
 func TestSuiteTraceSpans(t *testing.T) {
 	grid, err := carbon.GridByName("US")
 	if err != nil {
@@ -162,28 +163,37 @@ func TestSuiteTraceSpans(t *testing.T) {
 	if len(tree) != 1 || tree[0].Name != "suite" {
 		t.Fatalf("want one 'suite' root, got %d roots", len(tree))
 	}
-	if got := len(tree[0].Children); got != len(rows) {
-		t.Fatalf("suite has %d workload spans, want %d", got, len(rows))
+	// One fan-out runs every workload's simulation and both eDRAM builds,
+	// then each workload replays them in its two evaluations.
+	kids := tree[0].Children
+	if got := len(kids); got != 1+len(rows) {
+		t.Fatalf("suite has %d child spans, want 1 leaves + %d workloads", got, len(rows))
 	}
-	for _, wl := range tree[0].Children {
+	if kids[0].Name != "leaves" {
+		t.Fatalf("suite's first child span = %q, want leaves", kids[0].Name)
+	}
+	if n := spanCounts(kids[0].Children); n[StageEmbench] != len(rows) || n[StageEDRAM] != 2 || len(kids[0].Children) != len(rows)+2 {
+		t.Fatalf("leaves span holds %v, want %d embench and 2 edram", n, len(rows))
+	}
+	for _, wl := range kids[1:] {
 		if wl.Name != "workload" {
 			t.Fatalf("unexpected child span %q under suite", wl.Name)
 		}
-		var kids []string
+		var names []string
 		for _, c := range wl.Children {
-			kids = append(kids, c.Name)
+			names = append(names, c.Name)
 		}
-		if len(kids) != 3 || kids[0] != "leaves" || kids[1] != "evaluate" || kids[2] != "evaluate" {
-			t.Fatalf("workload span children = %v, want [leaves evaluate evaluate]", kids)
+		if len(names) != 2 || names[0] != "evaluate" || names[1] != "evaluate" {
+			t.Fatalf("workload span children = %v, want [evaluate evaluate]", names)
 		}
-		for _, ev := range wl.Children[1:] {
+		for _, ev := range wl.Children {
 			if n := spanCounts(ev.Children); n[StageEmbench]+n[StageEDRAM] != 0 {
 				t.Fatalf("evaluation span re-ran a leaf stage: %v", n)
 			}
 		}
 	}
 	want := map[string]int{
-		"suite": 1, "workload": len(rows), "leaves": len(rows), "evaluate": 2 * len(rows),
+		"suite": 1, "workload": len(rows), "leaves": 1, "evaluate": 2 * len(rows),
 		StageEmbench: len(rows), StageEDRAM: 2, StageSynth: 2, StageFloorplan: 2, StageCarbon: 2,
 	}
 	if got := spanCounts(tree); !reflect.DeepEqual(got, want) {

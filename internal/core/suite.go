@@ -39,29 +39,36 @@ func Suite(grid carbon.Grid) ([]SuiteRow, error) {
 	return SuiteContext(context.Background(), grid)
 }
 
-// SuiteContext is Suite with cancellation between workloads. It
-// evaluates through a memo that lives for this call only, so the suite
-// runs one ISA simulation per workload and one eDRAM build, synthesis,
-// floorplan and carbon chain per design; each workload's leaf stages
-// run concurrently, as in Table2Context. The rows equal those built
-// from independent EvaluateContext calls. When the context carries an
-// obs trace, each workload gets a span enclosing its evaluations, so the
-// exported trace shows where the suite's wall-clock went.
+// SuiteContext is Suite with cancellation before the leaf stages and
+// between workloads. It evaluates through a memo that lives for this call
+// only, so the suite runs one ISA simulation per workload and one eDRAM
+// build, synthesis, floorplan and carbon chain per design; all the leaf
+// stages, every workload's simulation and both eDRAM builds, run
+// concurrently in one fan-out before the first evaluation. The rows equal
+// those built from independent EvaluateContext calls. When the context
+// carries an obs trace, the fan-out gets one `leaves` span and each
+// workload a span enclosing its evaluations, so the exported trace shows
+// where the suite's wall-clock went.
 func SuiteContext(ctx context.Context, grid carbon.Grid) ([]SuiteRow, error) {
 	return NewMemo().SuiteContext(ctx, grid)
 }
 
-// SuiteContext is core.SuiteContext through the memo: one pair
-// evaluation per workload, on designs built once per call, replaying
-// every stage whose keyed inputs the memo already holds.
+// SuiteContext is core.SuiteContext through the memo: one leaf fan-out
+// over every workload and both designs, then one pair of evaluations per
+// workload, on designs built once per call, replaying every stage whose
+// keyed inputs the memo already holds.
 func (m *Memo) SuiteContext(ctx context.Context, grid carbon.Grid) ([]SuiteRow, error) {
 	scenario := tcdp.PaperScenario()
 	siSys, m3dSys := AllSiSystem(), M3DSystem()
+	workloads := embench.Workloads()
 	var rows []SuiteRow
 	sctx, suiteSpan := obs.StartSpan(ctx, "suite")
 	defer suiteSpan.End()
 	suiteSpan.SetStr("grid", grid.Name)
-	for _, w := range embench.Workloads() {
+	if err := m.FanOutLeaves(sctx, workloads, []SystemDesign{siSys, m3dSys}); err != nil {
+		return nil, err
+	}
+	for _, w := range workloads {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

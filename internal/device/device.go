@@ -122,23 +122,45 @@ func (p Params) vdsat() float64 {
 	return v
 }
 
+// vsBias is the gate-independent part of channelCurrent at one vds ≥ 0:
+// the DIBL-shifted threshold, F_sat and the leakage-floor term. Every
+// gate voltage evaluated at that vds shares them.
+type vsBias struct {
+	nphit, vt, fsat, leak float64
+}
+
+// bias evaluates the vsBias at vds, given the parameter set's n·φt and
+// V_DSAT.
+func (p *Params) bias(nphit, vdsat, vds float64) vsBias {
+	// Saturation function.
+	x := vds / vdsat
+	return vsBias{
+		nphit: nphit,
+		vt:    p.VT0 - p.DIBL*vds,
+		fsat:  x / math.Pow(1+math.Pow(x, p.Beta), 1/p.Beta),
+		leak:  p.LeakFloor * math.Tanh(vds/ThermalVoltage),
+	}
+}
+
+// current evaluates the VS model at vgs on a precomputed bias, returning
+// current per meter of width (A/m).
+func (p *Params) current(b *vsBias, vgs float64) float64 {
+	// Smooth charge: Q = Cinv·n·φt·ln(1 + exp((Vgs − VT)/(n·φt))).
+	arg := (vgs - b.vt) / b.nphit
+	var q float64
+	if arg > 40 {
+		q = p.Cinv * b.nphit * arg
+	} else {
+		q = p.Cinv * b.nphit * math.Log1p(math.Exp(arg))
+	}
+	return q*p.Vx0*b.fsat + b.leak
+}
+
 // channelCurrent evaluates the VS model for an N-type device with
 // vds ≥ 0, returning current per meter of width (A/m).
 func (p Params) channelCurrent(vgs, vds float64) float64 {
-	nphit := p.n() * ThermalVoltage
-	vt := p.VT0 - p.DIBL*vds
-	// Smooth charge: Q = Cinv·n·φt·ln(1 + exp((Vgs − VT)/(n·φt))).
-	arg := (vgs - vt) / nphit
-	var q float64
-	if arg > 40 {
-		q = p.Cinv * nphit * arg
-	} else {
-		q = p.Cinv * nphit * math.Log1p(math.Exp(arg))
-	}
-	// Saturation function.
-	x := vds / p.vdsat()
-	fsat := x / math.Pow(1+math.Pow(x, p.Beta), 1/p.Beta)
-	return q*p.Vx0*fsat + p.LeakFloor*math.Tanh(vds/ThermalVoltage)
+	b := p.bias(p.n()*ThermalVoltage, p.vdsat(), vds)
+	return p.current(&b, vgs)
 }
 
 // DrainCurrent reports the terminal drain current of a FET of width w
@@ -146,32 +168,73 @@ func (p Params) channelCurrent(vgs, vds float64) float64 {
 // Polarity and source/drain symmetry (vds < 0 operation) are handled here,
 // so circuit simulators can stamp the device without case analysis.
 func (p Params) DrainCurrent(vgs, vds, w float64) float64 {
+	nphit, vdsat := p.n()*ThermalVoltage, p.vdsat()
 	if p.Polarity == PMOS {
 		// A PMOS conducts with negative vgs/vds; evaluate the N-equivalent
 		// with flipped signs and return the negated current.
-		return -p.nTypeCurrent(-vgs, -vds, w)
+		return -p.nTypeCurrent(nphit, vdsat, -vgs, -vds, w)
 	}
-	return p.nTypeCurrent(vgs, vds, w)
+	return p.nTypeCurrent(nphit, vdsat, vgs, vds, w)
 }
 
 // nTypeCurrent handles source/drain symmetry for an N-type evaluation.
-func (p Params) nTypeCurrent(vgs, vds, w float64) float64 {
-	if vds >= 0 {
-		return w * p.channelCurrent(vgs, vds)
-	}
-	// Reversed operation: the physical source is the terminal we called
-	// drain. Gate-to-(true source) is vgd = vgs − vds.
-	return -w * p.channelCurrent(vgs-vds, -vds)
+func (p *Params) nTypeCurrent(nphit, vdsat, vgs, vds, w float64) float64 {
+	b, shift, sw := p.orient(nphit, vdsat, vds, w)
+	return sw * p.current(&b, vgs-shift)
 }
 
-// Conductances reports the small-signal transconductance gm = ∂I/∂Vgs and
-// output conductance gds = ∂I/∂Vds at the bias point, via central
-// differences. The spice package uses these for its Newton stamps.
-func (p Params) Conductances(vgs, vds, w float64) (gm, gds float64) {
-	const h = 1e-5
-	gm = (p.DrainCurrent(vgs+h, vds, w) - p.DrainCurrent(vgs-h, vds, w)) / (2 * h)
-	gds = (p.DrainCurrent(vgs, vds+h, w) - p.DrainCurrent(vgs, vds-h, w)) / (2 * h)
-	return gm, gds
+// orient resolves source/drain symmetry for an N-type evaluation at vds:
+// the current at gate voltage vgs is sw·current(b, vgs − shift). In
+// reversed operation (vds < 0) the physical source is the terminal we
+// called drain, so the channel sees −vds, the gate-to-(true source)
+// voltage is vgd = vgs − vds, and the current flows the other way.
+// Otherwise shift is +0, and vgs − (+0) is vgs exactly.
+func (p *Params) orient(nphit, vdsat, vds, w float64) (b vsBias, shift, sw float64) {
+	if vds >= 0 {
+		return p.bias(nphit, vdsat, vds), 0, w
+	}
+	return p.bias(nphit, vdsat, -vds), vds, -w
+}
+
+// conductanceStep is the central-difference step (volts) behind gm and
+// gds.
+const conductanceStep = 1e-5
+
+// Linearize reports what a Newton stamp needs at one bias point: the
+// drain current id = DrainCurrent(vgs, vds, w), the transconductance
+// gm = ∂I/∂Vgs and the output conductance gds = ∂I/∂Vds, the last two as
+// central differences of DrainCurrent with a 10 µV step. The spice
+// package stamps its FETs with it.
+//
+// The base current and both gm evaluations share one oriented vds, so
+// they share its threshold shift, F_sat and leakage term, computed once;
+// only the gds pair moves vds and evaluates the whole model. Each value
+// carries the bits of the DrainCurrent calls it stands for: every
+// expression keeps DrainCurrent's operands and order, a PMOS included
+// (its N-equivalent at flipped signs, each current negated before it is
+// differenced).
+func (p *Params) Linearize(vgs, vds, w float64) (id, gm, gds float64) {
+	const h = conductanceStep
+	nphit, vdsat := p.n()*ThermalVoltage, p.vdsat()
+	gate := [3]float64{vgs, vgs + h, vgs - h}
+	drain := [3]float64{vds, vds + h, vds - h}
+	if p.Polarity == PMOS {
+		gate = [3]float64{-vgs, -(vgs + h), -(vgs - h)}
+		drain = [3]float64{-vds, -(vds + h), -(vds - h)}
+	}
+	var i [5]float64 // at (vgs, vds), (vgs±h, vds), (vgs, vds±h)
+	b, shift, sw := p.orient(nphit, vdsat, drain[0], w)
+	for k, g := range gate {
+		i[k] = sw * p.current(&b, g-shift)
+	}
+	i[3] = p.nTypeCurrent(nphit, vdsat, gate[0], drain[1], w)
+	i[4] = p.nTypeCurrent(nphit, vdsat, gate[0], drain[2], w)
+	if p.Polarity == PMOS {
+		for k := range i {
+			i[k] = -i[k]
+		}
+	}
+	return i[0], (i[1] - i[2]) / (2 * h), (i[3] - i[4]) / (2 * h)
 }
 
 // ION reports the on-state current per width (A/m) at |Vgs| = |Vds| = vdd.

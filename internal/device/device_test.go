@@ -163,7 +163,7 @@ func TestDrainCurrentSymmetry(t *testing.T) {
 
 func TestConductancesPositive(t *testing.T) {
 	p := SiNFET(RVT)
-	gm, gds := p.Conductances(VDD, VDD/2, 1e-6)
+	_, gm, gds := p.Linearize(VDD, VDD/2, 1e-6)
 	if gm <= 0 {
 		t.Errorf("gm = %v, want positive in saturation", gm)
 	}

@@ -106,8 +106,7 @@ func TestGmOverIdSanity(t *testing.T) {
 	p := SiNFET(RVT)
 	w := 1e-6
 	gmID := func(vgs float64) float64 {
-		gm, _ := p.Conductances(vgs, VDD, w)
-		id := p.DrainCurrent(vgs, VDD, w)
+		id, gm, _ := p.Linearize(vgs, VDD, w)
 		return gm / id
 	}
 	weak := gmID(p.VT0 - 0.15)

@@ -253,58 +253,76 @@ func writeTransient(d CellDesign) (delay, energy float64, err error) {
 
 // readTransient simulates the read stack discharging a precharged bitline
 // with a stored '1', reporting the delay for the bitline to droop by the
-// sense margin.
+// sense margin. Only that first crossing is read back, so the transient
+// stops at the sample that completes it (spice's TransientToCrossing;
+// the delay is bit-identical to the full window's). The window, 12 time
+// scales long, still bounds a cell that never droops. writeTransient
+// keeps its full window: its energy integrates the whole run.
 func readTransient(d CellDesign, blCap float64) (float64, error) {
+	ck, tstop, dt, err := readCircuit(d, blCap)
+	if err != nil {
+		return 0, err
+	}
+	target := d.VDD - d.SenseMargin
+	tr, err := ck.TransientToCrossing(tstop, dt, "rbl", target, false, readStart)
+	if err != nil {
+		return 0, err
+	}
+	tc, err := tr.CrossingTime("rbl", target, false, readStart)
+	if err != nil {
+		return 0, fmt.Errorf("RBL never drooped to %.2f V: %w", target, err)
+	}
+	return tc - readStart, nil
+}
+
+// readStart is when the read wordline starts to rise (s).
+const readStart = 50e-12
+
+// readCircuit builds the read testbench of readTransient: the read stack
+// on a precharged bitline of capacitance blCap, with the transient's stop
+// time and step.
+func readCircuit(d CellDesign, blCap float64) (ck *spice.Circuit, tstop, dt float64, err error) {
 	// Time scale from the read stack's drive; weak-read cells (all-IGZO
 	// topologies) need microseconds, so the wordline stays asserted for
 	// the whole window.
 	iRead := d.Storage.IEFF(d.VDD) * d.StorageW
 	tScale := blCap * d.SenseMargin / iRead
-	dt := clamp(tScale/300, 1e-13, 50e-12)
-	tstop := 50e-12 + 12*tScale
+	dt = clamp(tScale/300, 1e-13, 50e-12)
+	tstop = readStart + 12*tScale
 
-	ck := spice.NewCircuit()
+	ck = spice.NewCircuit()
 	// SN held at VDD by an ideal source (stored '1'); RWL pulses high.
 	if err := ck.AddV("vsn", "sn", spice.Ground, spice.DC(d.VDD)); err != nil {
-		return 0, err
+		return nil, 0, 0, err
 	}
-	rwl := spice.Pulse{V1: 0, V2: d.VDD, Delay: 50e-12, Rise: 20e-12, Width: tstop, Fall: 20e-12}
+	rwl := spice.Pulse{V1: 0, V2: d.VDD, Delay: readStart, Rise: 20e-12, Width: tstop, Fall: 20e-12}
 	if err := ck.AddV("vrwl", "rwl", spice.Ground, rwl); err != nil {
-		return 0, err
+		return nil, 0, 0, err
 	}
 	// Precharge PMOS holds RBL at VDD while its gate is low, then turns
 	// off at 30 ps — before the read wordline rises at 50 ps — exactly how
 	// the array's precharge devices behave.
 	if err := ck.AddV("vdd", "vdd", spice.Ground, spice.DC(d.VDD)); err != nil {
-		return 0, err
+		return nil, 0, 0, err
 	}
 	preGate := spice.Pulse{V1: 0, V2: d.VDD, Delay: 30e-12, Rise: 10e-12, Width: 1, Fall: 10e-12}
 	if err := ck.AddV("vpre", "preb", spice.Ground, preGate); err != nil {
-		return 0, err
+		return nil, 0, 0, err
 	}
 	if err := ck.AddFET("mpre", "rbl", "preb", "vdd", device.SiPFET(device.RVT), 200e-9); err != nil {
-		return 0, err
+		return nil, 0, 0, err
 	}
 	if err := ck.AddC("cbl", "rbl", spice.Ground, blCap); err != nil {
-		return 0, err
+		return nil, 0, 0, err
 	}
 	// Read stack: RBL → select FET → mid → storage FET → gnd.
 	if err := ck.AddFET("msel", "rbl", "rwl", "mid", d.Select, d.SelectW); err != nil {
-		return 0, err
+		return nil, 0, 0, err
 	}
 	if err := ck.AddFET("msto", "mid", "sn", spice.Ground, d.Storage, d.StorageW); err != nil {
-		return 0, err
+		return nil, 0, 0, err
 	}
-	tr, err := ck.Transient(tstop, dt)
-	if err != nil {
-		return 0, err
-	}
-	target := d.VDD - d.SenseMargin
-	tc, err := tr.CrossingTime("rbl", target, false, 50e-12)
-	if err != nil {
-		return 0, fmt.Errorf("RBL never drooped to %.2f V: %w", target, err)
-	}
-	return tc - 50e-12, nil
+	return ck, tstop, dt, nil
 }
 
 func clamp(v, lo, hi float64) float64 {

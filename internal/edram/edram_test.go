@@ -1,6 +1,7 @@
 package edram
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -504,7 +505,9 @@ func TestBuildBitIdentical(t *testing.T) {
 
 // TestCharacterizeCellAllocBudget holds the SPICE characterization to a
 // fixed allocation budget: an analysis builds its MNA system once and
-// reuses it across every Newton iteration and time step.
+// reuses it across every Newton iteration and time step, and the read
+// transient records samples only up to its crossing (251 allocations
+// when the budget was set).
 func TestCharacterizeCellAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
@@ -515,9 +518,67 @@ func TestCharacterizeCellAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 2000
+	const budget = 280
 	if allocs > budget {
 		t.Errorf("Si bitcell characterization: %.0f allocs, budget %d", allocs, budget)
 	}
 	t.Logf("Si bitcell characterization: %.0f allocs", allocs)
+}
+
+// TestReadDelayMatchesFullTransient pins readTransient's early stop to the
+// full-window transient it replaced: the read delay of each cell, at each
+// temperature and over a range of bitline loads around the paper array's,
+// is bit-identical to a full Transient read back through CrossingTime,
+// and a failure reports the same error text.
+func TestReadDelayMatchesFullTransient(t *testing.T) {
+	loads := []float64{0.25, 0.5, 1, 2, 4}
+	temps := []float64{-40, 25, 85, 125}
+	if raceEnabled {
+		// The detector slows the full-window reference ~10×; keep the
+		// paper load and the extreme corners.
+		loads, temps = []float64{1}, []float64{-40, 125}
+	}
+	for _, base := range []CellDesign{SiCellDesign(), M3DCellDesign(), TwoT0CCellDesign()} {
+		m, err := Build(base, PaperArray(), PaperPeriphery(base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		designs := []CellDesign{base}
+		for _, tc := range temps {
+			designs = append(designs, base.AtTemperature(tc))
+		}
+		for _, d := range designs {
+			for _, k := range loads {
+				blCap := k * m.BitlineCap
+				got, gotErr := readTransient(d, blCap)
+				want, wantErr := fullWindowRead(d, blCap)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s, blCap %.3g F: error %v, full window %v", d.Name, blCap, gotErr, wantErr)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s, blCap %.3g F: read delay %#x (%.6g s), full window %#x (%.6g s)",
+						d.Name, blCap, math.Float64bits(got), got, math.Float64bits(want), want)
+				}
+			}
+		}
+	}
+}
+
+// fullWindowRead is readTransient as it ran before the early stop: the
+// whole window through Transient, then CrossingTime.
+func fullWindowRead(d CellDesign, blCap float64) (float64, error) {
+	ck, tstop, dt, err := readCircuit(d, blCap)
+	if err != nil {
+		return 0, err
+	}
+	tr, err := ck.Transient(tstop, dt)
+	if err != nil {
+		return 0, err
+	}
+	target := d.VDD - d.SenseMargin
+	tc, err := tr.CrossingTime("rbl", target, false, readStart)
+	if err != nil {
+		return 0, fmt.Errorf("RBL never drooped to %.2f V: %w", target, err)
+	}
+	return tc - readStart, nil
 }

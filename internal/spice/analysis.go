@@ -127,7 +127,27 @@ type Tran struct {
 // stiff bit-cell retention circuits (attofarad storage nodes against
 // sub-femtoampere leakages) require.
 func (c *Circuit) Transient(tstop, dt float64) (*Tran, error) {
-	return c.transient(tstop, dt, false)
+	return c.transient(tstop, dt, false, nil)
+}
+
+// TransientToCrossing runs Transient(tstop, dt) but stops after the first
+// sample that completes the crossing CrossingTime(node, threshold,
+// rising, tStart) looks for; the same predicate decides both. Each
+// backward-Euler sample depends only on the samples before it, so the
+// result holds the full run's samples up to that one, and its
+// CrossingTime returns the full run's value bit for bit. A node that
+// never crosses (ground, or an unknown name, included) runs the whole
+// window, and CrossingTime reports the full run's error. The one outcome
+// that differs from Transient: a Newton failure after the crossing goes
+// unseen, since those steps never run.
+func (c *Circuit) TransientToCrossing(tstop, dt float64, node string, threshold float64, rising bool, tStart float64) (*Tran, error) {
+	idx, ok := c.nodeIndex[node]
+	if !ok || idx < 0 {
+		return c.transient(tstop, dt, false, nil)
+	}
+	return c.transient(tstop, dt, false, func(tr *Tran) bool {
+		return tr.crossed(tr.nodeV[idx], len(tr.Times)-1, threshold, rising, tStart)
+	})
 }
 
 // TransientFromZero runs the same analysis but skips the initial
@@ -135,10 +155,12 @@ func (c *Circuit) Transient(tstop, dt float64) (*Tran, error) {
 // "use initial conditions" mode. Needed when the DC point is irrelevant or
 // ill-conditioned (e.g. a current source charging a capacitor).
 func (c *Circuit) TransientFromZero(tstop, dt float64) (*Tran, error) {
-	return c.transient(tstop, dt, true)
+	return c.transient(tstop, dt, true, nil)
 }
 
-func (c *Circuit) transient(tstop, dt float64, uic bool) (*Tran, error) {
+// transient runs the analysis; a non-nil stop is asked after each
+// recorded sample past t = 0 and ends the run when it returns true.
+func (c *Circuit) transient(tstop, dt float64, uic bool, stop func(*Tran) bool) (*Tran, error) {
 	if tstop <= 0 || dt <= 0 || dt > tstop {
 		return nil, errors.New("spice: need 0 < dt ≤ tstop")
 	}
@@ -185,6 +207,9 @@ func (c *Circuit) transient(tstop, dt float64, uic bool) (*Tran, error) {
 			return nil, fmt.Errorf("spice: transient at t=%.3g s: %w", t, err)
 		}
 		record(t)
+		if stop != nil && stop(tr) {
+			break
+		}
 	}
 	return tr, nil
 }
@@ -273,16 +298,23 @@ func (tr *Tran) CrossingTime(node string, threshold float64, rising bool, tStart
 		return 0, err
 	}
 	for k := 1; k < len(tr.Times); k++ {
-		if tr.Times[k] < tStart {
-			continue
-		}
-		a, b := w[k-1], w[k]
-		crossed := (rising && a < threshold && b >= threshold) ||
-			(!rising && a > threshold && b <= threshold)
-		if crossed {
+		if tr.crossed(w, k, threshold, rising, tStart) {
+			a, b := w[k-1], w[k]
 			f := (threshold - a) / (b - a)
 			return tr.Times[k-1] + f*(tr.Times[k]-tr.Times[k-1]), nil
 		}
 	}
 	return 0, fmt.Errorf("spice: node %q never crossed %.3g V after t=%.3g", node, threshold, tStart)
+}
+
+// crossed reports whether waveform w completes the crossing between
+// samples k−1 and k, with sample k at or after tStart: the one predicate
+// behind CrossingTime and TransientToCrossing.
+func (tr *Tran) crossed(w []float64, k int, threshold float64, rising bool, tStart float64) bool {
+	if tr.Times[k] < tStart {
+		return false
+	}
+	a, b := w[k-1], w[k]
+	return (rising && a < threshold && b >= threshold) ||
+		(!rising && a > threshold && b <= threshold)
 }

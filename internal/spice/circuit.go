@@ -8,7 +8,14 @@
 // fixed-step backward-Euler transient solver with per-source energy
 // accounting. The circuits the paper simulates — bit cells, wordline and
 // bitline RC networks, write drivers, sense amplifiers — involve tens of
-// nodes, so a dense LU solve is the right tool.
+// nodes, so a dense LU solve is the right tool. Each FET stamp takes its
+// current and both conductances from one device.Params.Linearize call.
+//
+// A transient that is read back only at a threshold crossing can stop
+// there: TransientToCrossing ends the run at the first sample that
+// completes the crossing, with the same predicate as Tran.CrossingTime.
+// Backward Euler makes each sample depend only on the ones before it, so
+// the crossing time is the full run's, bit for bit.
 package spice
 
 import (
@@ -276,8 +283,7 @@ func (f *fet) name() string { return f.id }
 func (f *fet) stamp(sys *system, st *stampState) {
 	vgs := st.v(f.g) - st.v(f.s)
 	vds := st.v(f.d) - st.v(f.s)
-	id := f.params.DrainCurrent(vgs, vds, f.w)
-	gm, gds := f.params.Conductances(vgs, vds, f.w)
+	id, gm, gds := f.params.Linearize(vgs, vds, f.w)
 	// Keep the linearization passive enough to converge.
 	if gds < 1e-12 {
 		gds = 1e-12
