@@ -608,7 +608,9 @@ func TestOversizeSpecs(t *testing.T) {
 
 // FuzzSpecExpand feeds arbitrary bytes to ParseSpec and Expand: neither
 // panics, a parsed spec's point count is within MaxPlanPoints and is the
-// length of its plan, and expanding the spec twice gives equal plans.
+// length of its plan, expanding the spec twice gives equal plans, and
+// the plan's normalized spec hashes to the plan's Hash (normalizing is
+// idempotent, which Expand relies on to hash without normalizing twice).
 func FuzzSpecExpand(f *testing.F) {
 	smoke, err := os.ReadFile(filepath.Join("testdata", "smoke.json"))
 	if err != nil {
@@ -643,6 +645,9 @@ func FuzzSpecExpand(f *testing.F) {
 		}
 		if !reflect.DeepEqual(plan, again) {
 			t.Fatal("expanding the same spec twice gave different plans")
+		}
+		if h, err := plan.Spec.Hash(); err != nil || h != plan.Hash {
+			t.Fatalf("normalized spec hashes to %q (%v), plan hash %q", h, err, plan.Hash)
 		}
 	})
 }

@@ -30,10 +30,14 @@ import (
 // it reports.
 type evaluator struct {
 	// scenario is the paper's usage scenario on the flat use-phase grid,
-	// built once; a point with a CI_use scale copies it and swaps in a
-	// scaled profile.
+	// built once; a point with a CI_use scale copies it and swaps in its
+	// scale's profile from scaled.
 	scenario tcdp.Scenario
-	cache    sync.Map // coreKey -> *coreEntry
+	// scaled maps the bits of every CI_use scale other than 1 that
+	// resolve has seen to the use-phase profile it scales to, so −0 and
+	// +0 stay apart. Read-only once the workers start.
+	scaled map[uint64]carbon.Profile
+	cache  sync.Map // coreKey -> *coreEntry
 	// memo memoizes the individual pipeline stages underneath the tuple
 	// cache: two tuples differing only in grid replay embench, the eDRAM
 	// macro, synthesis and the floorplan instead of re-running them.
@@ -71,15 +75,22 @@ func newEvaluator(useGrid carbon.Grid, memo *core.Memo) *evaluator {
 	scenario.Profile = carbon.Flat(useGrid)
 	return &evaluator{
 		scenario:  scenario,
+		scaled:    make(map[uint64]carbon.Profile),
 		memo:      memo,
 		systems:   make(map[string]resolved[core.SystemDesign]),
 		workloads: make(map[string]resolved[embench.Workload]),
 	}
 }
 
-// resolve looks up p's system and workload unless an earlier point
-// named them. Every point the evaluator runs must be resolved first.
+// resolve looks up p's system and workload, and scales the use-phase
+// profile by p's CI_use scale, unless an earlier point did. Every point
+// the evaluator runs must be resolved first.
 func (e *evaluator) resolve(p *Point) {
+	if p.CIUseScale != 1 {
+		if bits := math.Float64bits(p.CIUseScale); e.scaled[bits] == nil {
+			e.scaled[bits] = carbon.Scaled(e.scenario.Profile, p.CIUseScale)
+		}
+	}
 	if _, ok := e.systems[p.System]; !ok {
 		sys, err := core.SystemByName(p.System)
 		e.systems[p.System] = resolved[core.SystemDesign]{sys, err}
@@ -188,7 +199,7 @@ func (e *evaluator) evaluate(ctx context.Context, p *Point) Result {
 
 	scenario := e.scenario
 	if p.CIUseScale != 1 {
-		scenario.Profile = carbon.Scaled(scenario.Profile, p.CIUseScale)
+		scenario.Profile = e.scaled[math.Float64bits(p.CIUseScale)]
 	}
 	life := units.Months(p.LifetimeMonths)
 	tc, err := tcdp.TC(dp, scenario, life)

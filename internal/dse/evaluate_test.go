@@ -8,9 +8,9 @@ import (
 )
 
 // TestWarmEvaluatorAllocs pins a cache-hit point's allocations: once its
-// tuple is evaluated, a point costs its scaled CI_use profile and
-// nothing else — no formatted cache key, no discarded cache entry and
-// no scenario rebuilt per point.
+// tuple is evaluated and its CI_use scale resolved, a point allocates
+// nothing — no formatted cache key, no discarded cache entry, no
+// scenario rebuilt and no scaled profile boxed per point.
 func TestWarmEvaluatorAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector")
@@ -34,10 +34,11 @@ func TestWarmEvaluatorAllocs(t *testing.T) {
 		want  float64
 	}{
 		{"unscaled CI_use", 1, 0},
-		{"scaled CI_use", 1.7, 1},
+		{"scaled CI_use", 1.7, 0},
 	} {
 		p := plan.Points[0]
 		p.CIUseScale = tc.scale
+		ev.resolve(&p)
 		got := testing.AllocsPerRun(100, func() { ev.evaluate(ctx, &p) })
 		t.Logf("%s: %.0f allocations per warm point", tc.name, got)
 		if got > tc.want {

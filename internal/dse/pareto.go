@@ -1,7 +1,6 @@
 package dse
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -81,12 +80,18 @@ func skyline2(scores []float64, n int) []int {
 	for k := range rows {
 		rows[k] = row{scores[2*k], scores[2*k+1], k}
 	}
+	// Plain comparisons order the scores as cmp.Compare would without
+	// its NaN handling, which a NaN-free matrix never needs: ±0 tie.
 	slices.SortFunc(rows, func(a, b row) int {
-		if c := cmp.Compare(a.s0, b.s0); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.s1, b.s1); c != 0 {
-			return c
+		switch {
+		case a.s0 < b.s0:
+			return -1
+		case a.s0 > b.s0:
+			return 1
+		case a.s1 < b.s1:
+			return -1
+		case a.s1 > b.s1:
+			return 1
 		}
 		return a.k - b.k
 	})

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -135,6 +136,80 @@ func TestFrontierMatchesScan(t *testing.T) {
 		slices.Sort(permuted)
 		if !slices.Equal(front, permuted) {
 			t.Fatalf("trial %d: permuting the input changed the frontier's members: %v vs %v", trial, front, permuted)
+		}
+	}
+}
+
+// skyline2CmpCompare is skyline2 as it sorted with cmp.Compare, the
+// reference for its plain-comparison sort.
+func skyline2CmpCompare(scores []float64, n int) []int {
+	type row struct {
+		s0, s1 float64
+		k      int
+	}
+	rows := make([]row, n)
+	for k := range rows {
+		rows[k] = row{scores[2*k], scores[2*k+1], k}
+	}
+	slices.SortFunc(rows, func(a, b row) int {
+		if c := cmp.Compare(a.s0, b.s0); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.s1, b.s1); c != 0 {
+			return c
+		}
+		return a.k - b.k
+	})
+	var keep []int
+	best := 0.0
+	for g := 0; g < n; {
+		end := g + 1
+		for end < n && rows[end].s0 == rows[g].s0 {
+			end++
+		}
+		if least := rows[g].s1; g == 0 || least < best {
+			for _, r := range rows[g:end] {
+				if r.s1 != least {
+					break
+				}
+				keep = append(keep, r.k)
+			}
+			best = least
+		}
+		g = end
+	}
+	return keep
+}
+
+// TestSkylineSortMatchesCmpCompare pins skyline2's plain-comparison sort
+// to the cmp.Compare sort it replaced: the same kept rows in the same
+// order over seeded NaN-free matrices drawn from a small level set —
+// ties on either score, equal rows, ±0 and ±Inf.
+func TestSkylineSortMatchesCmpCompare(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 1))
+	negZero := math.Copysign(0, -1)
+	levels := []float64{0, negZero, 1, -1, 2.5, math.Inf(1), math.Inf(-1), math.MaxFloat64, -5e-324}
+	for trial := 0; trial < 5000; trial++ {
+		n := rng.IntN(40)
+		if trial%250 == 0 {
+			n = 3000
+		}
+		scores := make([]float64, 2*n)
+		for i := range scores {
+			if rng.IntN(4) == 0 {
+				scores[i] = rng.NormFloat64()
+			} else {
+				scores[i] = levels[rng.IntN(len(levels))]
+			}
+		}
+		for k := 1; k < n; k++ {
+			if rng.IntN(6) == 0 { // an equal row
+				j := rng.IntN(k)
+				scores[2*k], scores[2*k+1] = scores[2*j], scores[2*j+1]
+			}
+		}
+		if got, want := skyline2(scores, n), skyline2CmpCompare(scores, n); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d rows): skyline2 = %v, cmp.Compare sort = %v", trial, n, got, want)
 		}
 	}
 }

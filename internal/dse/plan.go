@@ -116,12 +116,16 @@ func pointSeed(seed int64, index int) uint64 {
 // evaluation plan. Axes are crossed in declaration order — system,
 // workload, grid, clock, lifetime, yield D0, M3D yield, M3D embodied
 // scale, CI_use scale — with Monte Carlo replicas innermost.
+//
+// A plan allocates per plan, not per point: the optional overrides
+// (YieldD0, M3DYield, M3DEmbodiedScale) point into one slab with a
+// distinct slot per point and field, so no two points share a pointee.
 func Expand(spec *Spec) (*Plan, error) {
 	n, err := spec.normalized()
 	if err != nil {
 		return nil, err
 	}
-	hash, err := n.Hash()
+	hash, err := n.normalizedHash()
 	if err != nil {
 		return nil, err
 	}
@@ -150,47 +154,62 @@ func Expand(spec *Spec) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	plan := &Plan{Spec: n, Hash: hash, UseGrid: useGrid, Points: make([]Point, 0, total)}
-	for i := 0; i < total; i++ {
-		// Decode the flat index into per-axis coordinates, row-major with
-		// the replica fastest so paired replicas sit adjacent.
-		rem := i
-		coord := make([]int, len(counts))
-		for d := len(counts) - 1; d >= 0; d-- {
-			coord[d] = rem % counts[d]
-			rem /= counts[d]
+	overrides := 0
+	for _, l := range [...]numLevels{d0, m3dY, m3dEmb} {
+		if l.present {
+			overrides++
 		}
-		replica := coord[9]
-		p := Point{
+	}
+	slab := make([]float64, total*overrides)
+	override := func(v float64) *float64 {
+		slab[0] = v
+		p := &slab[0]
+		slab = slab[1:]
+		return p
+	}
+
+	plan := &Plan{Spec: n, Hash: hash, UseGrid: useGrid, Points: make([]Point, total)}
+	// coord is the flat index decoded into per-axis coordinates,
+	// row-major with the replica fastest so paired replicas sit
+	// adjacent; it steps as an odometer from point to point.
+	var coord [numDims]int
+	for i := range plan.Points {
+		replica := coord[dimReplica]
+		p := &plan.Points[i]
+		*p = Point{
 			Index:          i,
 			Seed:           pointSeed(n.Seed, i),
 			Replica:        replica,
-			System:         n.Axes.System[coord[0]],
-			Workload:       n.Axes.Workload[coord[1]],
-			Grid:           grids[coord[2]],
+			System:         n.Axes.System[coord[dimSystem]],
+			Workload:       n.Axes.Workload[coord[dimWorkload]],
+			Grid:           grids[coord[dimGrid]],
 			LifetimeMonths: 24,
 			CIUseScale:     1,
 		}
-		if v, ok := clock.value(coord[3], replica); ok {
+		if v, ok := clock.value(coord[dimClock], replica); ok {
 			p.ClockMHz = v
 		}
-		if v, ok := life.value(coord[4], replica); ok {
+		if v, ok := life.value(coord[dimLifetime], replica); ok {
 			p.LifetimeMonths = v
 		}
-		if v, ok := d0.value(coord[5], replica); ok {
-			p.YieldD0 = &v
+		if v, ok := d0.value(coord[dimYieldD0], replica); ok {
+			p.YieldD0 = override(v)
 		}
-		if v, ok := m3dY.value(coord[6], replica); ok {
-			p.M3DYield = &v
+		if v, ok := m3dY.value(coord[dimM3DYield], replica); ok {
+			p.M3DYield = override(v)
 		}
-		if v, ok := m3dEmb.value(coord[7], replica); ok {
-			p.M3DEmbodiedScale = &v
+		if v, ok := m3dEmb.value(coord[dimM3DEmbodied], replica); ok {
+			p.M3DEmbodiedScale = override(v)
 		}
-		if v, ok := ciUse.value(coord[8], replica); ok {
+		if v, ok := ciUse.value(coord[dimCIUse], replica); ok {
 			p.CIUseScale = v
 		}
-		plan.Points = append(plan.Points, p)
+		for d := numDims - 1; d >= 0; d-- {
+			if coord[d]++; coord[d] < counts[d] {
+				break
+			}
+			coord[d] = 0
+		}
 	}
 	return plan, nil
 }

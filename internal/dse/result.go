@@ -7,8 +7,11 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 )
 
@@ -151,16 +154,48 @@ type floatText struct {
 }
 
 func (e *lineEncoder) appendLine(b []byte, r *Result) ([]byte, error) {
-	for _, v := range [...]*float64{
+	if v, ok := r.nonFinite(); ok {
+		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(v), Str: strconv.FormatFloat(v, 'g', -1, 64)}
+	}
+	return e.appendFinite(b, r), nil
+}
+
+// nonFinite returns r's first NaN or ±Inf float field in line order;
+// ok is false when every field is finite, the one condition under
+// which appendLine fails.
+func (r *Result) nonFinite() (v float64, ok bool) {
+	// x−x is 0 for a finite x and NaN for NaN and ±Inf, so one sum
+	// clears a finite result without a branch per field.
+	diff := func(p *float64) float64 {
+		if p == nil {
+			return 0
+		}
+		return *p - *p
+	}
+	z := (r.GridGPerKWh - r.GridGPerKWh) + (r.ClockMHz - r.ClockMHz) + (r.LifetimeMonths - r.LifetimeMonths) +
+		(r.CIUseScale - r.CIUseScale) + diff(r.YieldD0) + diff(r.M3DYield) + diff(r.M3DEmbodiedScale) +
+		(r.ExecTimeS - r.ExecTimeS) + (r.OperationalPowerMW - r.OperationalPowerMW) + (r.TotalAreaMM2 - r.TotalAreaMM2) +
+		(r.EmbodiedWaferKG - r.EmbodiedWaferKG) + (r.EmbodiedGoodDieG - r.EmbodiedGoodDieG) + (r.Yield - r.Yield) +
+		(r.TCG - r.TCG) + (r.TCDPGS - r.TCDPGS)
+	if z == 0 {
+		return 0, false
+	}
+	for _, p := range [...]*float64{
 		&r.GridGPerKWh, &r.ClockMHz, &r.LifetimeMonths, &r.CIUseScale,
 		r.YieldD0, r.M3DYield, r.M3DEmbodiedScale,
 		&r.ExecTimeS, &r.OperationalPowerMW, &r.TotalAreaMM2, &r.EmbodiedWaferKG,
 		&r.EmbodiedGoodDieG, &r.Yield, &r.TCG, &r.TCDPGS,
 	} {
-		if v != nil && (math.IsNaN(*v) || math.IsInf(*v, 0)) {
-			return b, &json.UnsupportedValueError{Value: reflect.ValueOf(*v), Str: strconv.FormatFloat(*v, 'g', -1, 64)}
+		if p != nil && (math.IsNaN(*p) || math.IsInf(*p, 0)) {
+			return *p, true
 		}
 	}
+	return 0, false
+}
+
+// appendFinite appends the line of a result whose float fields are all
+// finite.
+func (e *lineEncoder) appendFinite(b []byte, r *Result) []byte {
 	b = append(b, `{"index":`...)
 	b = strconv.AppendInt(b, int64(r.Index), 10)
 	if r.Replica != 0 {
@@ -195,7 +230,7 @@ func (e *lineEncoder) appendLine(b []byte, r *Result) ([]byte, error) {
 	b = e.appendNonZero(b, `,"yield":`, fYield, r.Yield)
 	b = e.appendNonZero(b, `,"tc_g":`, fTC, r.TCG)
 	b = e.appendNonZero(b, `,"tcdp_gs":`, fTCDP, r.TCDPGS)
-	return append(b, '}', '\n'), nil
+	return append(b, '}', '\n')
 }
 
 // appendFloat appends the float field in slot as appendJSONFloat
@@ -313,10 +348,44 @@ func (e *Encoder) Flush() error {
 	return err
 }
 
-// WriteNDJSON streams results as newline-delimited JSON through one
-// Encoder. A result that cannot be encoded ends the stream with its
-// error, leaving the lines buffered before it unwritten.
+// WriteNDJSON writes results as newline-delimited JSON, the bytes one
+// Encoder would write. Encoding runs on every P: GOMAXPROCS workers
+// claim chunks of ndjsonChunkLines results through a shared cursor and
+// encode them into pooled buffers, and the caller writes the chunks to
+// w in index order, each with one Write. At most two chunks per worker
+// are in flight, and every worker has returned before WriteNDJSON does,
+// a failed Write included; that Write's error is returned.
+//
+// At GOMAXPROCS 1, on fewer than two chunks, or when a result cannot be
+// encoded, the caller encodes the whole range through one Encoder
+// instead. A result that cannot be encoded ends the stream with
+// json.Marshal's error, leaving the lines buffered before it unwritten.
 func WriteNDJSON(w io.Writer, results []Result) error {
+	chunks := (len(results) + ndjsonChunkLines - 1) / ndjsonChunkLines
+	workers := min(runtime.GOMAXPROCS(0), chunks)
+	if workers < 2 || !allFinite(results) {
+		return writeNDJSONSerial(w, results)
+	}
+	return writeNDJSONChunks(w, results, workers, chunks)
+}
+
+// ndjsonChunkLines is how many results a WriteNDJSON worker encodes per
+// claim.
+const ndjsonChunkLines = 256
+
+// allFinite reports whether every result encodes: the pre-scan that
+// lets WriteNDJSON's workers encode without an error path.
+func allFinite(results []Result) bool {
+	for i := range results {
+		if _, bad := results[i].nonFinite(); bad {
+			return false
+		}
+	}
+	return true
+}
+
+// writeNDJSONSerial streams results through one Encoder on the caller.
+func writeNDJSONSerial(w io.Writer, results []Result) error {
 	enc := Encoder{w: w, buf: make([]byte, 0, ndjsonChunk+4<<10)}
 	for i := range results {
 		if err := enc.Encode(&results[i]); err != nil {
@@ -324,6 +393,67 @@ func WriteNDJSON(w io.Writer, results []Result) error {
 		}
 	}
 	return enc.Flush()
+}
+
+// chunkBufs holds WriteNDJSON's chunk buffers between chunks and calls.
+var chunkBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 2*ndjsonChunk)
+	return &b
+}}
+
+// writeNDJSONChunks encodes results, every one finite, on workers
+// goroutines and writes its chunks in index order. Chunk c travels
+// through slots[c%len(slots)]; a worker takes a token before it claims
+// a chunk and the writer returns it once the chunk is written, so at
+// most len(slots) chunks are claimed and not yet written, and no two of
+// them share a slot. Each worker keeps its
+// lineEncoder across the chunks it claims: the encoder copies only
+// text it formatted for equal bits, so any line order is safe.
+func writeNDJSONChunks(w io.Writer, results []Result, workers, chunks int) error {
+	slots := make([]chan *[]byte, 2*workers)
+	for i := range slots {
+		slots[i] = make(chan *[]byte, 1)
+	}
+	tokens := make(chan struct{}, len(slots))
+	stop := make(chan struct{})
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			var enc lineEncoder
+			for {
+				select {
+				case tokens <- struct{}{}:
+				case <-stop:
+					return
+				}
+				c := int(cursor.Add(1)) - 1
+				if c >= chunks {
+					return // every chunk is claimed; the writer needs no token back
+				}
+				chunk := results[c*ndjsonChunkLines : min((c+1)*ndjsonChunkLines, len(results))]
+				buf := chunkBufs.Get().(*[]byte)
+				b := (*buf)[:0]
+				for i := range chunk {
+					b = enc.appendFinite(b, &chunk[i])
+				}
+				*buf = b
+				slots[c%len(slots)] <- buf
+			}
+		}()
+	}
+	var err error
+	for c := 0; c < chunks && err == nil; c++ {
+		buf := <-slots[c%len(slots)]
+		_, err = w.Write(*buf)
+		chunkBufs.Put(buf)
+		<-tokens
+	}
+	close(stop)
+	wg.Wait()
+	return err
 }
 
 // ReadNDJSON decodes a stream written by WriteNDJSON.

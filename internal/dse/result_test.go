@@ -3,11 +3,16 @@ package dse
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 )
 
 func ptr(v float64) *float64 { return &v }
@@ -157,6 +162,190 @@ func TestWriteNDJSONBuffersLines(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("WriteNDJSON of %d results: %.0f allocations, want ≤ 2", len(results), allocs)
+	}
+}
+
+// writeNDJSONSequential is WriteNDJSON as one Encoder loop on the
+// caller: the reference its chunked form must reproduce.
+func writeNDJSONSequential(w io.Writer, results []Result) error {
+	enc := NewEncoder(w)
+	for i := range results {
+		if err := enc.Encode(&results[i]); err != nil {
+			return err
+		}
+	}
+	return enc.Flush()
+}
+
+// randomStream draws n results whose fields come mostly from small
+// level sets, so lines repeat, alternate and omit fields (±0, nil
+// pointers, infeasible points) within and across chunks.
+func randomStream(rng *rand.Rand, n int) []Result {
+	negZero := math.Copysign(0, -1)
+	levels := []float64{0, negZero, 380, 820, 0.5, 24, 1e-7, 1e21, 3.8}
+	draw := func() float64 {
+		if rng.IntN(4) == 0 {
+			return rng.NormFloat64() * 100
+		}
+		return levels[rng.IntN(len(levels))]
+	}
+	drawPtr := func() *float64 {
+		if rng.IntN(3) == 0 {
+			return nil
+		}
+		return ptr(draw())
+	}
+	names := []string{"si", "m3d", "huff", "crc32", "US", `a<b> & "c"`}
+	results := make([]Result, n)
+	for i := range results {
+		results[i] = Result{
+			Index: i, Replica: rng.IntN(3), System: names[rng.IntN(2)], Workload: names[2+rng.IntN(2)],
+			Grid: names[4+rng.IntN(2)], GridGPerKWh: draw(), ClockMHz: draw(), LifetimeMonths: draw(),
+			CIUseScale: draw(), YieldD0: drawPtr(), M3DYield: drawPtr(), M3DEmbodiedScale: drawPtr(),
+			Feasible: rng.IntN(8) != 0, Cycles: uint64(rng.IntN(3)) * 20047423,
+			ExecTimeS: draw(), OperationalPowerMW: draw(), TotalAreaMM2: draw(), EmbodiedWaferKG: draw(),
+			EmbodiedGoodDieG: draw(), DiesPerWafer: rng.IntN(2) * 120000, Yield: draw(), TCG: draw(), TCDPGS: draw(),
+		}
+		if !results[i].Feasible {
+			results[i].Error = "core: timing closure failed"
+		}
+	}
+	return results
+}
+
+// TestWriteNDJSONMatchesEncoder pins WriteNDJSON, chunked across every P
+// or serial on the caller, to one sequential Encoder loop at GOMAXPROCS
+// 1, 2 and 4: the same bytes over 0, 1, chunk−1, chunk, chunk+1 and
+// many chunks of lines, and with a NaN or ±Inf at the first line,
+// mid-chunk, on either side of a chunk boundary and at the last line,
+// the same error with the same bytes written before it.
+func TestWriteNDJSONMatchesEncoder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewPCG(30, 2))
+	const c = ndjsonChunkLines
+	check := func(label string, results []Result) {
+		t.Helper()
+		var got, want bytes.Buffer
+		werr := writeNDJSONSequential(&want, results)
+		gerr := WriteNDJSON(&got, results)
+		if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+			t.Fatalf("%s: WriteNDJSON error %v, Encoder loop error %v", label, gerr, werr)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: WriteNDJSON wrote %d bytes, the Encoder loop %d; they differ", label, got.Len(), want.Len())
+		}
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, c - 1, c, c + 1, 9*c + 17} {
+			results := randomStream(rng, n)
+			check(fmt.Sprintf("GOMAXPROCS %d, %d results", procs, n), results)
+			for _, at := range []int{0, c / 2, c - 1, c, n - 1} {
+				if at < 0 || at >= n {
+					continue
+				}
+				for _, bad := range []func(*Result){
+					func(r *Result) { r.TCG = math.NaN() },
+					func(r *Result) { r.M3DYield = ptr(math.Inf(-1)) },
+					func(r *Result) { r.GridGPerKWh = math.Inf(1) },
+				} {
+					planted := slices.Clone(results)
+					bad(&planted[at])
+					check(fmt.Sprintf("GOMAXPROCS %d, %d results, bad value at %d", procs, n, at), planted)
+				}
+			}
+		}
+	}
+}
+
+// errWriteFailed is failingWriter's error.
+var errWriteFailed = errors.New("write failed")
+
+// failingWriter keeps what it is written and fails its failAt-th Write
+// (never when failAt is 0) and every one after.
+type failingWriter struct {
+	buf            bytes.Buffer
+	writes, failAt int
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.failAt > 0 && w.writes >= w.failAt {
+		return 0, errWriteFailed
+	}
+	return w.buf.Write(p)
+}
+
+// TestWriteNDJSONWriteFailure fails the writer on its k-th Write, for
+// the first, second, a middle and the last Write of a many-chunk stream
+// at GOMAXPROCS 1, 2 and 4: WriteNDJSON returns the writer's error after
+// one failed Write, having written a prefix of the stream, and leaves no
+// goroutine running.
+func TestWriteNDJSONWriteFailure(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	results := randomStream(rand.New(rand.NewPCG(30, 3)), 20*ndjsonChunkLines+5)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		var full failingWriter
+		if err := WriteNDJSON(&full, results); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 2, full.writes / 2, full.writes} {
+			before := runtime.NumGoroutine()
+			w := failingWriter{failAt: k}
+			if err := WriteNDJSON(&w, results); !errors.Is(err, errWriteFailed) {
+				t.Fatalf("GOMAXPROCS %d, failing Write %d of %d: error %v", procs, k, full.writes, err)
+			}
+			if w.writes != k {
+				t.Errorf("GOMAXPROCS %d, failing Write %d: %d Writes, want the failed one last", procs, k, w.writes)
+			}
+			if !bytes.HasPrefix(full.buf.Bytes(), w.buf.Bytes()) {
+				t.Errorf("GOMAXPROCS %d, failing Write %d: the bytes written are not a prefix of the stream", procs, k)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("GOMAXPROCS %d, failing Write %d: %d goroutines after WriteNDJSON, %d before", procs, k, n, before)
+			}
+		}
+	}
+}
+
+// TestWriteNDJSONConcurrentAllocs pins the chunked path's allocations at
+// GOMAXPROCS 2, where testing.AllocsPerRun (which runs at GOMAXPROCS 1)
+// never takes it: a fixed budget for 4 chunks and for 64, so the count
+// does not grow with the results.
+func TestWriteNDJSONConcurrentAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const budget = 24
+	for _, chunks := range []int{4, 64} {
+		results := randomStream(rand.New(rand.NewPCG(30, 4)), chunks*ndjsonChunkLines)
+		for i := range results {
+			results[i].Grid = "US" // a name json.Marshal would escape allocates per line
+		}
+		write := func() {
+			if err := WriteNDJSON(io.Discard, results); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write() // warm the chunk buffer pool
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			write()
+		}
+		runtime.ReadMemStats(&after)
+		allocs := float64(after.Mallocs-before.Mallocs) / runs
+		t.Logf("%d chunks: %.1f allocations per WriteNDJSON", chunks, allocs)
+		if allocs > budget {
+			t.Errorf("WriteNDJSON of %d chunks at GOMAXPROCS 2: %.1f allocations, want ≤ %d", chunks, allocs, budget)
+		}
 	}
 }
 

@@ -197,32 +197,49 @@ func (d *DistSpec) Distribution() (tcdp.Distribution, error) {
 	}
 }
 
-// dimCounts lists the level count of each plan dimension in the order
-// Expand crosses them: system, workload, grid, the numeric axes in
-// numericAxes order, then the Monte Carlo replicas. Defaults count as
-// normalized fills them in. It builds no axis.
-func (s *Spec) dimCounts() []int {
-	counts := []int{len(s.Axes.System), len(s.Axes.Workload), 1}
-	if counts[0] == 0 {
-		counts[0] = 2 // both bundled systems
+// Plan dimensions, in the order Expand crosses them: system, workload,
+// grid, the numeric axes in numericAxes order, then the Monte Carlo
+// replicas.
+const (
+	dimSystem = iota
+	dimWorkload
+	dimGrid
+	dimClock
+	dimLifetime
+	dimYieldD0
+	dimM3DYield
+	dimM3DEmbodied
+	dimCIUse
+	dimReplica
+	numDims
+)
+
+// dimCounts lists the level count of each plan dimension, indexed by
+// the dim constants. Defaults count as normalized fills them in. It
+// builds no axis.
+func (s *Spec) dimCounts() [numDims]int {
+	var counts [numDims]int
+	counts[dimSystem], counts[dimWorkload], counts[dimGrid] = len(s.Axes.System), len(s.Axes.Workload), 1
+	if counts[dimSystem] == 0 {
+		counts[dimSystem] = 2 // both bundled systems
 	}
 	if g := s.Axes.Grid; g != nil {
-		counts[2] = len(g.Names) + len(g.Custom)
+		counts[dimGrid] = len(g.Names) + len(g.Custom)
 		if g.Intensity != nil {
-			counts[2] += g.Intensity.levels()
+			counts[dimGrid] += g.Intensity.levels()
 		}
 	}
-	for _, a := range s.numericAxes() {
-		counts = append(counts, a.levels())
+	for i, a := range s.numericAxes() {
+		counts[dimClock+i] = a.levels()
 	}
-	replicas := 1
+	counts[dimReplica] = 1
 	if s.hasDistAxis() {
-		replicas = s.Samples
-		if replicas == 0 {
-			replicas = DefaultSamples
+		counts[dimReplica] = s.Samples
+		if counts[dimReplica] == 0 {
+			counts[dimReplica] = DefaultSamples
 		}
 	}
-	return append(counts, replicas)
+	return counts
 }
 
 // numericAxisNames names the numeric axes, in numericAxes order.
@@ -491,7 +508,14 @@ func (s *Spec) Hash() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	b, err := json.Marshal(n)
+	return n.normalizedHash()
+}
+
+// normalizedHash is Hash of a spec normalized already: normalizing is
+// idempotent, and resolving its system names again would rebuild both
+// designs.
+func (s *Spec) normalizedHash() (string, error) {
+	b, err := json.Marshal(s)
 	if err != nil {
 		return "", err
 	}

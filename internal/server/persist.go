@@ -188,7 +188,7 @@ func (s *Server) loadStoredSweep(id string) ([]dse.Result, bool) {
 // serveStoredSweepResults replays a finished sweep's NDJSON stream from
 // the store for an ID the in-memory job table no longer knows — the
 // daemon restarted since the sweep ran. The replay is byte-identical to
-// the live stream: one dse.Encoder over the same ordered result set.
+// the live stream: dse.WriteNDJSON over the same ordered result set.
 func (s *Server) serveStoredSweepResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	results, ok := s.loadStoredSweep(id)
@@ -198,13 +198,7 @@ func (s *Server) serveStoredSweepResults(w http.ResponseWriter, r *http.Request)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Cache", "STORE")
-	enc := dse.NewEncoder(w)
-	for i := range results {
-		if err := enc.Encode(&results[i]); err != nil {
-			break // the lines before it still go out
-		}
-	}
-	_ = enc.Flush()
+	_ = dse.WriteNDJSON(w, results)
 }
 
 // serveStoredSweepStatus reconstructs a terminal status for a stored
