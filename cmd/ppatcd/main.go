@@ -64,19 +64,9 @@
 // also logged at warn with their stage breakdown). Dump it with
 // -call flight or GET /debug/flight.
 //
-// Cluster mode: -join turns N daemons into one service. Peers gossip
-// health over HTTP, evaluation results route to their consistent-hash
-// owner (a miss on the wrong node forwards one hop instead of
-// recomputing), and sweeps shard across the cluster with work-stealing
-// — merged output stays byte-identical to a single-node run:
-//
-//	ppatcd -addr :8037 -node-id a
-//	ppatcd -addr :8038 -node-id b -join http://127.0.0.1:8037
-//
-// -advertise overrides the URL peers use to reach this node (defaults
-// to http://127.0.0.1:PORT derived from -addr). On SIGTERM a joined
-// node flips /healthz to 503 and gossips "leaving" before the drain
-// window starts, so peers stop routing to it while it can still answer.
+// On SIGTERM the daemon flips /healthz to 503 before the -drain window
+// starts, so load balancers stop routing to it while it can still
+// answer; /livez stays 200 throughout.
 //
 // Client mode drives a running daemon without curl:
 //
@@ -131,9 +121,6 @@ func run(args []string) error {
 	storeMaxSegment := fs.Int64("store-max-segment-bytes", 0, "segment-store file size cap (0 = 8 MiB)")
 	slowMS := fs.Int("slow-ms", 100, "slow-request threshold in milliseconds (retained in the flight recorder's slow ring and logged at warn; 0 disables)")
 	flightSlots := fs.Int("flight-slots", 1024, "flight-recorder recent-events ring size (rounded up to a power of two)")
-	join := fs.String("join", "", "comma-separated peer URLs to join as a cluster (empty = standalone)")
-	nodeID := fs.String("node-id", "", "stable cluster node ID (default: derived from the advertise URL)")
-	advertise := fs.String("advertise", "", "URL peers use to reach this node (default: http://127.0.0.1:PORT from -addr)")
 	call := fs.String("call", "", "client mode: endpoint to call (evaluate, batch, suite, tcdp, sweep, sweeps, sweep-status, sweep-results, sweep-frontier, sweep-cancel, results, result, grids, workloads, health, metrics, flight)")
 	data := fs.String("data", "", "client mode: JSON request body ('@file' reads a file)")
 	jobID := fs.String("id", "", "client mode: sweep job ID for sweep-status/results/frontier/cancel")
@@ -148,7 +135,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	return serve(*addr, clusterOpts{join: *join, nodeID: *nodeID, advertise: *advertise}, server.Config{
+	return serve(*addr, server.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		CacheEntries:   *cache,
@@ -206,62 +193,21 @@ func buildLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 	}
 }
 
-// clusterOpts carries the -join/-node-id/-advertise flags into serve.
-type clusterOpts struct {
-	join, nodeID, advertise string
-}
-
-// enabled reports whether the flags ask for cluster mode: -join names
-// peers, or -node-id marks this daemon as a (seed) cluster member that
-// peers will join later.
-func (c clusterOpts) enabled() bool { return c.join != "" || c.nodeID != "" }
-
-// resolve fills the defaults: advertise from the listen address, node
-// ID from the advertise URL.
-func (c clusterOpts) resolve(addr string) (nodeID, advertise string, peers []string) {
-	advertise = c.advertise
-	if advertise == "" {
-		port := addr
-		if i := strings.LastIndex(addr, ":"); i >= 0 {
-			port = addr[i:]
-		}
-		advertise = "http://127.0.0.1" + port
-	}
-	nodeID = c.nodeID
-	if nodeID == "" {
-		nodeID = strings.TrimPrefix(strings.TrimPrefix(advertise, "http://"), "https://")
-	}
-	for _, p := range strings.Split(c.join, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	return nodeID, advertise, peers
-}
-
-func serve(addr string, cl clusterOpts, cfg server.Config, drain time.Duration) error {
+func serve(addr string, cfg server.Config, drain time.Duration) error {
 	logger := cfg.Logger
 	srv := server.New(cfg)
 	defer srv.Close()
 
 	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
 
-	if cl.enabled() {
-		nodeID, advertise, peers := cl.resolve(addr)
-		if err := srv.StartCluster(nodeID, advertise, peers); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-		logger.Info("cluster", "node_id", nodeID, "advertise", advertise, "join", peers)
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	shutdownErr := make(chan error, 1)
 	go func() {
 		<-ctx.Done()
-		// Flip /healthz to not-ready and gossip "leaving" BEFORE the
-		// drain starts: load balancers and peers stop routing to this
-		// node while it can still answer its in-flight requests.
+		// Flip /healthz to not-ready BEFORE the drain starts: load
+		// balancers stop routing to this node while it can still answer
+		// its in-flight requests.
 		srv.BeginShutdown()
 		logger.Info("shutdown", "reason", "signal", "drain", drain.String())
 		dctx, cancel := context.WithTimeout(context.Background(), drain)

@@ -79,7 +79,7 @@ func TestJSONEmptyIsArray(t *testing.T) {
 func TestFixtureExitCodes(t *testing.T) {
 	for _, fixture := range []string{
 		"unitcast", "dse", "core", "yield", "hotpath", "directives",
-		"server", "cluster", "store", "apicontract",
+		"server", "flight", "store", "apicontract",
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{"./internal/analysis/testdata/src/" + fixture}, &stdout, &stderr)
@@ -171,13 +171,13 @@ func TestChangedDirPatterns(t *testing.T) {
 			files: []string{
 				"internal/server/batch.go",
 				"internal/server/pool.go",
-				"internal/cluster/membership.go",
+				"internal/store/segment.go",
 				"internal/analysis/testdata/src/server/request.go", // fixture: dropped
 				"README.md",            // not Go: dropped
 				"main.go",              // module root
 				"docs/example_test.go", // any .go file counts
 			},
-			want: []string{".", "./docs", "./internal/cluster", "./internal/server"},
+			want: []string{".", "./docs", "./internal/server", "./internal/store"},
 		},
 		{
 			name:   "nested module and its subpackages dropped",

@@ -61,7 +61,7 @@ func TestFloatCmpGolden(t *testing.T)   { golden(t, "yield", runFixture(t, "yiel
 func TestHotPathGolden(t *testing.T)    { golden(t, "hotpath", runFixture(t, "hotpath")) }
 func TestDirectivesGolden(t *testing.T) { golden(t, "directives", runFixture(t, "directives")) }
 func TestCtxFlowGolden(t *testing.T)    { golden(t, "server", runFixture(t, "server")) }
-func TestLockSafeGolden(t *testing.T)   { golden(t, "cluster", runFixture(t, "cluster")) }
+func TestLockSafeGolden(t *testing.T)   { golden(t, "flight", runFixture(t, "flight")) }
 func TestGoLeakGolden(t *testing.T)     { golden(t, "store", runFixture(t, "store")) }
 func TestAPIContractGolden(t *testing.T) {
 	golden(t, "apicontract", runFixture(t, "apicontract"))
@@ -72,7 +72,7 @@ func TestAPIContractGolden(t *testing.T) {
 func TestFixturesExitNonzero(t *testing.T) {
 	for _, fixture := range []string{
 		"unitcast", "dse", "core", "yield", "hotpath", "directives",
-		"server", "cluster", "store", "apicontract",
+		"server", "flight", "store", "apicontract",
 	} {
 		if len(runFixture(t, fixture)) == 0 {
 			t.Errorf("fixture %s produced no findings", fixture)

@@ -6,10 +6,9 @@ import (
 	"strings"
 )
 
-// CtxFlow enforces request-path cancellability in the serving and
-// cluster code: work done on behalf of a request (or any function
-// handed a context) must stop when that context does. Blocking channel
-// operations and selects must carry a ctx.Done() escape, time.Sleep
+// CtxFlow enforces request-path cancellability in the serving code:
+// work done on behalf of a request (or any function handed a context)
+// must stop when that context does. Blocking channel operations and selects must carry a ctx.Done() escape, time.Sleep
 // has no business on a cancellable path, outbound HTTP must use a
 // ctx-aware constructor, context.Background()/TODO() may only mint
 // lifetime roots inside constructors, and a context stored in a struct
@@ -17,16 +16,15 @@ import (
 // flagged wherever it appears.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "request-scoped code in server/cluster must be cancellable via ctx.Done()",
+	Doc:  "request-scoped code in server must be cancellable via ctx.Done()",
 	Run:  runCtxFlow,
 }
 
 // ctxflowPackages scopes the analyzer by import-path tail: the
-// serving layer and the cluster membership/routing layer, where every
-// blocking operation sits on a request or drain path.
+// serving layer, where every blocking operation sits on a request or
+// drain path.
 var ctxflowPackages = map[string]bool{
-	"server":  true,
-	"cluster": true,
+	"server": true,
 }
 
 func runCtxFlow(pass *Pass) {

@@ -5,25 +5,24 @@ import (
 	"go/types"
 )
 
-// GoLeak flags fire-and-forget goroutines in the server, cluster, and
-// store layers: a `go` statement whose body (followed transitively
-// through same-package callees) touches no context, no channel, and no
+// GoLeak flags fire-and-forget goroutines in the server and store
+// layers: a `go` statement whose body (followed transitively through
+// same-package callees) touches no context, no channel, and no
 // WaitGroup has no way to learn the component is draining — it runs
 // until the process dies, holding whatever it captured. Every goroutine
 // in those layers must be tied to a lifetime: a ctx.Done(), a stop/done
 // channel, or a WaitGroup the closer waits on.
 var GoLeak = &Analyzer{
 	Name: "goleak",
-	Doc:  "goroutines in server/cluster/store need a ctx, stop channel, or WaitGroup",
+	Doc:  "goroutines in server/store need a ctx, stop channel, or WaitGroup",
 	Run:  runGoLeak,
 }
 
 // goLeakPackages scopes the analyzer by import-path tail to the
 // long-running components with an explicit drain sequence.
 var goLeakPackages = map[string]bool{
-	"server":  true,
-	"cluster": true,
-	"store":   true,
+	"server": true,
+	"store":  true,
 }
 
 func runGoLeak(pass *Pass) {

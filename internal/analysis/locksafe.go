@@ -21,11 +21,10 @@ var LockSafe = &Analyzer{
 // lockSafePackages scopes the analyzer by import-path tail to the
 // layers built on shared mutable state.
 var lockSafePackages = map[string]bool{
-	"server":  true,
-	"cluster": true,
-	"store":   true,
-	"flight":  true,
-	"obs":     true,
+	"server": true,
+	"store":  true,
+	"flight": true,
+	"obs":    true,
 }
 
 func runLockSafe(pass *Pass) {

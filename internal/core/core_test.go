@@ -50,6 +50,28 @@ func headline(t *testing.T) (*PPAtC, *PPAtC) {
 	return siResult, m3dResult
 }
 
+// TestCanonicalSystemNameNamesTheDesign pins the name-only lookup to
+// the designs it stands for: every accepted spelling resolves to the
+// Name of the design SystemByName builds.
+func TestCanonicalSystemNameNamesTheDesign(t *testing.T) {
+	for _, name := range []string{"si", "SI", "all-si", "allsi", "all-Si", "m3d", "M3D", "m3d igzo/cnfet/si", M3DName} {
+		canonical, err := CanonicalSystemName(name)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		sys, err := SystemByName(name)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if canonical != sys.Name {
+			t.Errorf("%q: canonical name %q, design name %q", name, canonical, sys.Name)
+		}
+	}
+	if _, err := CanonicalSystemName("gaas"); err == nil {
+		t.Error("unknown system accepted")
+	}
+}
+
 // TestTable2Anchors verifies the headline reproduction of the paper's
 // Table II, row by row.
 func TestTable2Anchors(t *testing.T) {

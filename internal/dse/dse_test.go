@@ -101,56 +101,10 @@ func TestOnResultOrder(t *testing.T) {
 	}
 }
 
-// TestRunPlanRange is the distributed-sweep shard contract: running a
-// plan as contiguous ranges and concatenating the outputs is
-// byte-identical to one full run, at any shard split.
-func TestRunPlanRange(t *testing.T) {
-	plan, err := Expand(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := RunPlan(context.Background(), plan, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ndjson(t, full)
-	for _, size := range []int{1, 3, 5, 8} {
-		var merged []Result
-		for lo := 0; lo < len(plan.Points); lo += size {
-			hi := lo + size
-			if hi > len(plan.Points) {
-				hi = len(plan.Points)
-			}
-			rs, err := RunPlanRange(context.Background(), plan, lo, hi, Options{Workers: 3})
-			if err != nil {
-				t.Fatalf("range [%d, %d): %v", lo, hi, err)
-			}
-			if len(rs) != hi-lo {
-				t.Fatalf("range [%d, %d) returned %d results", lo, hi, len(rs))
-			}
-			for i, r := range rs {
-				if r.Index != lo+i {
-					t.Fatalf("range [%d, %d) result %d has index %d", lo, hi, i, r.Index)
-				}
-			}
-			merged = append(merged, rs...)
-		}
-		if got := ndjson(t, merged); !bytes.Equal(got, want) {
-			t.Errorf("shard size %d: merged NDJSON differs from full run", size)
-		}
-	}
-	if _, err := RunPlanRange(context.Background(), plan, 2, 1, Options{}); err == nil {
-		t.Error("inverted range accepted")
-	}
-	if _, err := RunPlanRange(context.Background(), plan, 0, len(plan.Points)+1, Options{}); err == nil {
-		t.Error("out-of-bounds range accepted")
-	}
-}
-
-// TestRunPlanRangeCompleted checks resumed results use absolute
-// plan indices: in-range entries are emitted verbatim without
-// re-evaluation, out-of-range entries are ignored.
-func TestRunPlanRangeCompleted(t *testing.T) {
+// TestRunPlanCompleted checks resumed results are keyed by plan index:
+// in-plan entries are emitted verbatim without re-evaluation, entries
+// outside the plan are ignored.
+func TestRunPlanCompleted(t *testing.T) {
 	plan, err := Expand(testSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -159,19 +113,20 @@ func TestRunPlanRangeCompleted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := len(plan.Points)
 	ctr := obs.NewRegistry().Counter("test_evals", "test")
-	rs, err := RunPlanRange(context.Background(), plan, 2, 6, Options{
-		Completed:   map[int]Result{3: full[3], 7: full[7]},
+	rs, err := RunPlan(context.Background(), plan, Options{
+		Completed:   map[int]Result{-1: full[0], 3: full[3], 7: full[7], n: full[1]},
 		EvalCounter: ctr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ndjson(t, rs); !bytes.Equal(got, ndjson(t, full[2:6])) {
-		t.Error("range with completed points differs from full-run slice")
+	if got := ndjson(t, rs); !bytes.Equal(got, ndjson(t, full)) {
+		t.Error("run with completed points differs from a full run")
 	}
-	if got := ctr.Load(); got != 3 {
-		t.Errorf("evaluated %d points in [2, 6) with one resumed, want 3", got)
+	if got := ctr.Load(); got != int64(n-2) {
+		t.Errorf("evaluated %d of %d points with two resumed, want %d", got, n, n-2)
 	}
 }
 
@@ -533,6 +488,22 @@ func TestSpecHashStability(t *testing.T) {
 	}
 	if h3 == h1 {
 		t.Error("seed change did not change the hash")
+	}
+}
+
+// TestSpecHashAllocs pins that normalizing a spec resolves its system
+// names without building the designs, which costs ~3.4k allocations for
+// all-Si and M3D together.
+func TestSpecHashAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector")
+	}
+	spec := &Spec{Axes: Axes{System: []string{"si", "m3d"}, Workload: []string{"huff"}}}
+	if _, err := spec.Hash(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() { _, _ = spec.Hash() }); got > 16 {
+		t.Errorf("Spec.Hash on a two-system spec: %.0f allocations, budget 16", got)
 	}
 }
 

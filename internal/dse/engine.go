@@ -53,23 +53,11 @@ func Run(ctx context.Context, spec *Spec, opts Options) ([]Result, error) {
 	return RunPlan(ctx, plan, opts)
 }
 
-// RunPlan executes an already expanded plan. See Run.
+// RunPlan executes an already expanded plan. See Run. Resumed results
+// in opts.Completed are keyed by plan index; entries outside the plan
+// are ignored.
 func RunPlan(ctx context.Context, plan *Plan, opts Options) ([]Result, error) {
-	return RunPlanRange(ctx, plan, 0, len(plan.Points), opts)
-}
-
-// RunPlanRange executes the contiguous slice [lo, hi) of an expanded
-// plan's points — the shard primitive for distributed sweeps. Results
-// come back (and stream via OnResult) in plan-index order within the
-// range, carrying their absolute plan indices, so a coordinator can
-// concatenate range outputs back into the full plan order. Resumed
-// results in opts.Completed are keyed by absolute plan index; entries
-// outside the range are ignored.
-func RunPlanRange(ctx context.Context, plan *Plan, lo, hi int, opts Options) ([]Result, error) {
-	if lo < 0 || hi > len(plan.Points) || lo > hi {
-		return nil, fmt.Errorf("dse: range [%d, %d) outside plan of %d points", lo, hi, len(plan.Points))
-	}
-	points := plan.Points[lo:hi]
+	points := plan.Points
 	total := len(points)
 	workers := opts.Workers
 	if workers <= 0 {
@@ -89,14 +77,13 @@ func RunPlanRange(ctx context.Context, plan *Plan, lo, hi int, opts Options) ([]
 	}
 
 	// Results are written in place: resumed ones now, fresh ones by the
-	// worker that evaluates them. Slots are range-relative; Result.Index
-	// stays absolute.
+	// worker that evaluates them.
 	results := make([]Result, total)
 	present := make([]bool, total)
 	for i, r := range opts.Completed {
-		if i >= lo && i < hi {
-			results[i-lo] = r
-			present[i-lo] = true
+		if i >= 0 && i < total {
+			results[i] = r
+			present[i] = true
 		}
 	}
 	next := 0 // first index not yet released

@@ -372,7 +372,7 @@ func (s *Spec) Validate() error {
 		return err
 	}
 	for _, name := range s.Axes.System {
-		if _, err := core.SystemByName(name); err != nil {
+		if _, err := core.CanonicalSystemName(name); err != nil {
 			return err
 		}
 	}
@@ -460,11 +460,11 @@ func (s *Spec) normalized() (*Spec, error) {
 	}
 	resolved := make([]string, len(n.Axes.System))
 	for i, name := range n.Axes.System {
-		sys, err := core.SystemByName(name)
+		canonical, err := core.CanonicalSystemName(name)
 		if err != nil {
 			return nil, err
 		}
-		resolved[i] = sys.Name
+		resolved[i] = canonical
 	}
 	n.Axes.System = resolved
 	if len(n.Axes.Workload) == 0 {
@@ -512,8 +512,7 @@ func (s *Spec) Hash() (string, error) {
 }
 
 // normalizedHash is Hash of a spec normalized already: normalizing is
-// idempotent, and resolving its system names again would rebuild both
-// designs.
+// idempotent, so a second pass would only repeat work.
 func (s *Spec) normalizedHash() (string, error) {
 	b, err := json.Marshal(s)
 	if err != nil {

@@ -23,7 +23,7 @@ import (
 // explicitly-reported unattributed residual (request decode, response
 // write, scheduling), so the stages always partition the total.
 var Stages = []string{
-	"queue_wait", "cache_lookup", "compute", "peer_forward", "encode", "store_write", "other",
+	"queue_wait", "cache_lookup", "compute", "encode", "store_write", "other",
 }
 
 // Event is one completed request's attribution record: the compact,
@@ -40,8 +40,7 @@ type Event struct {
 	Endpoint  string `json:"endpoint"`
 	RequestID string `json:"request_id"`
 	// Disposition is the cache disposition: HIT, MISS, COALESCED,
-	// STORE, REMOTE (served by the key's owning cluster peer), BYPASS,
-	// or NONE for endpoints that don't compute.
+	// STORE, BYPASS, or NONE for endpoints that don't compute.
 	Disposition string `json:"disposition"`
 	Status      int    `json:"status"`
 	// BatchSize is the item count of a /v1/batch request (0 otherwise).
@@ -59,10 +58,6 @@ type Event struct {
 	QueueWaitNS   int64 `json:"queue_wait_ns"`
 	CacheLookupNS int64 `json:"cache_lookup_ns"`
 	ComputeNS     int64 `json:"compute_ns"`
-	// PeerForwardNS is the time spent forwarding the request to the
-	// key's owning cluster peer and reading its response (0 when the
-	// request was served locally).
-	PeerForwardNS int64 `json:"peer_forward_ns,omitempty"`
 	EncodeNS      int64 `json:"encode_ns"`
 	StoreWriteNS  int64 `json:"store_write_ns"`
 	OtherNS       int64 `json:"other_ns"`
@@ -84,8 +79,6 @@ func (e *Event) StageNS(stage string) int64 {
 		return e.CacheLookupNS
 	case "compute":
 		return e.ComputeNS
-	case "peer_forward":
-		return e.PeerForwardNS
 	case "encode":
 		return e.EncodeNS
 	case "store_write":
@@ -99,7 +92,7 @@ func (e *Event) StageNS(stage string) int64 {
 // StageSumNS is the sum of every reported stage, including the
 // explicit residual.
 func (e *Event) StageSumNS() int64 {
-	return e.QueueWaitNS + e.CacheLookupNS + e.ComputeNS + e.PeerForwardNS +
+	return e.QueueWaitNS + e.CacheLookupNS + e.ComputeNS +
 		e.EncodeNS + e.StoreWriteNS + e.OtherNS
 }
 
@@ -129,7 +122,6 @@ type Breakdown struct {
 	QueueWaitNS   int64
 	CacheLookupNS int64
 	ComputeNS     int64
-	PeerForwardNS int64
 	EncodeNS      int64
 	StoreWriteNS  int64
 	// OtherNS is wall time a computation measured but could not ascribe
@@ -137,22 +129,16 @@ type Breakdown struct {
 	// stage time at clock resolution). It folds into the event's
 	// explicit "other" stage, keeping the partition invariant.
 	OtherNS int64
-	// Remote marks a computation satisfied by forwarding to the key's
-	// owning cluster peer instead of evaluating locally; the caller
-	// reports disposition REMOTE instead of MISS.
-	Remote bool
 }
 
 // Add folds o's stage durations into the breakdown; an Attribution
 // folds a computation's measured stages into its request this way.
-// Remote is not a duration and is left as it is.
 //
 //ppatc:hotpath
 func (b *Breakdown) Add(o Breakdown) {
 	b.QueueWaitNS += o.QueueWaitNS
 	b.CacheLookupNS += o.CacheLookupNS
 	b.ComputeNS += o.ComputeNS
-	b.PeerForwardNS += o.PeerForwardNS
 	b.EncodeNS += o.EncodeNS
 	b.StoreWriteNS += o.StoreWriteNS
 	b.OtherNS += o.OtherNS
@@ -162,7 +148,7 @@ func (b *Breakdown) Add(o Breakdown) {
 //
 //ppatc:hotpath
 func (b Breakdown) Sum() int64 {
-	return b.QueueWaitNS + b.CacheLookupNS + b.ComputeNS + b.PeerForwardNS +
+	return b.QueueWaitNS + b.CacheLookupNS + b.ComputeNS +
 		b.EncodeNS + b.StoreWriteNS + b.OtherNS
 }
 
@@ -173,7 +159,6 @@ func (b Breakdown) Scale(f float64) Breakdown {
 		QueueWaitNS:   int64(float64(b.QueueWaitNS) * f),
 		CacheLookupNS: int64(float64(b.CacheLookupNS) * f),
 		ComputeNS:     int64(float64(b.ComputeNS) * f),
-		PeerForwardNS: int64(float64(b.PeerForwardNS) * f),
 		EncodeNS:      int64(float64(b.EncodeNS) * f),
 		StoreWriteNS:  int64(float64(b.StoreWriteNS) * f),
 		OtherNS:       int64(float64(b.OtherNS) * f),
@@ -243,7 +228,6 @@ func (a *Attribution) Finish(start time.Time, total time.Duration, status int) E
 		QueueWaitNS:    a.QueueWaitNS,
 		CacheLookupNS:  a.CacheLookupNS,
 		ComputeNS:      a.ComputeNS,
-		PeerForwardNS:  a.PeerForwardNS,
 		EncodeNS:       a.EncodeNS,
 		StoreWriteNS:   a.StoreWriteNS,
 		OtherNS:        other,

@@ -189,10 +189,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					// saturated pool attributes honestly.
 					ia.QueueWaitNS += time.Since(fanStart).Nanoseconds()
 					res := &out.Items[p.idx]
-					// Batch items never forward: one batch can touch many keys
-					// with many owners, and a burst of cross-node hops would
-					// cost more than the recompute it saves.
-					body, disposition, err := s.compute(ctx, p.key, p.work, ia, nil)
+					body, disposition, err := s.compute(ctx, p.key, p.work, ia)
 					ia.Disposition = disposition
 					if err != nil {
 						res.Error = err.Error()

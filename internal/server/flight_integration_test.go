@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -293,6 +294,54 @@ func TestMetricsStreamDeliversAndReleases(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("subscription leaked after disconnect: %d live", srv.Recorder().Hub().Subscribers())
+}
+
+// TestMetricsStreamKeepAlive pins the SSE keep-alive contract: an idle
+// subscriber receives ": ping" comments and its subscription is
+// released cleanly on disconnect.
+func TestMetricsStreamKeepAlive(t *testing.T) {
+	oldKA, oldHB := metricsStreamKeepAlive, metricsStreamHeartbeat
+	metricsStreamKeepAlive = 30 * time.Millisecond
+	metricsStreamHeartbeat = time.Hour // only pings on an idle stream
+	defer func() { metricsStreamKeepAlive, metricsStreamHeartbeat = oldKA, oldHB }()
+
+	srv, ts := newTestServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/metrics/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+
+	sc := bufio.NewScanner(resp.Body)
+	sawPing := false
+	deadline := time.Now().Add(5 * time.Second)
+	for sc.Scan() && time.Now().Before(deadline) {
+		if strings.HasPrefix(sc.Text(), ": ping") {
+			sawPing = true
+			break
+		}
+	}
+	if !sawPing {
+		t.Fatal("idle stream never received a keep-alive comment")
+	}
+	if got := srv.Recorder().Hub().Subscribers(); got != 1 {
+		t.Fatalf("subscribers while connected = %d, want 1", got)
+	}
+	cancel() // client disconnects
+	deadline = time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if srv.Recorder().Hub().Subscribers() == 0 {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatal("subscription not released after disconnect")
 }
 
 // TestSlowRequestLogged asserts the threshold-gated slow-request log

@@ -53,15 +53,6 @@ type Metrics struct {
 	// counts store operations that failed and degraded to compute.
 	StoreHits, StoreWrites, StoreErrors *obs.Counter
 
-	// ClusterForwards counts cross-node request routing by outcome:
-	// "remote" (the key's owner served it), "fallback" (forward failed,
-	// computed locally), "refused" (a forward loop was rejected).
-	// ClusterRanges counts distributed-sweep range deliveries by
-	// outcome: "completed", "duplicate" (this node lost a first-wins
-	// race), "stolen" (a remote worker lost one).
-	ClusterForwards *obs.CounterVec
-	ClusterRanges   *obs.CounterVec
-
 	// queueDepth, cacheLen, sweepQueue, storeKeys, flightDropped and
 	// streamSubs are gauge hooks wired by the server.
 	queueDepth            func() int64
@@ -72,7 +63,6 @@ type Metrics struct {
 	storeKeys             func() int
 	flightDropped         func() int64
 	streamSubs            func() int64
-	clusterPeers          func() int
 	// memo is the server's stage memo. WriteTo renders its record of
 	// stage runs as ppatcd_stage_seconds and its counters as
 	// ppatcd_stage_memo_{hits,misses}_total.
@@ -103,7 +93,6 @@ func NewMetrics() *Metrics {
 		storeKeys:             func() int { return 0 },
 		flightDropped:         func() int64 { return 0 },
 		streamSubs:            func() int64 { return 0 },
-		clusterPeers:          func() int { return 0 },
 		memo:                  core.NewMemo(),
 	}
 	m.requests = reg.CounterVec("ppatcd_requests_total", "Requests served, by endpoint.", "endpoint")
@@ -139,12 +128,6 @@ func NewMetrics() *Metrics {
 	m.StoreErrors = reg.Counter("ppatcd_store_errors_total", "Persistent store operations that failed (degraded to compute).")
 	reg.GaugeFunc("ppatcd_store_keys", "Live keys in the persistent result store.",
 		func() float64 { return float64(m.storeKeys()) })
-	reg.GaugeFunc("ppatcd_cluster_peers", "Alive cluster members, this node included (0 when not clustered).",
-		func() float64 { return float64(m.clusterPeers()) })
-	m.ClusterForwards = reg.CounterVec("ppatcd_cluster_forwards_total",
-		"Cross-node request routing, by outcome (remote/fallback/refused).", "outcome")
-	m.ClusterRanges = reg.CounterVec("ppatcd_cluster_ranges_total",
-		"Distributed-sweep range deliveries, by outcome (completed/duplicate/stolen).", "outcome")
 	return m
 }
 

@@ -80,17 +80,6 @@ type Config struct {
 	// takes precedence over StoreDir and is closed with the server.
 	Store store.ResultStore
 
-	// ClusterGossipInterval paces cluster membership gossip (default 1s;
-	// only meaningful after StartCluster).
-	ClusterGossipInterval time.Duration
-	// ClusterLeaseTTL bounds one distributed-sweep range lease; a worker
-	// silent longer than this loses the range to work-stealing (default
-	// 30s).
-	ClusterLeaseTTL time.Duration
-	// ClusterRangeSize fixes the distributed-sweep shard size in points
-	// (default: plan size / (members × 4), minimum 1).
-	ClusterRangeSize int
-
 	// FlightRecentSlots sizes the flight recorder's recent-events ring
 	// (rounded up to a power of two; default 1024).
 	FlightRecentSlots int
@@ -131,12 +120,6 @@ func (c Config) withDefaults() Config {
 	if c.SweepMaxPoints <= 0 {
 		c.SweepMaxPoints = 100000
 	}
-	if c.ClusterGossipInterval <= 0 {
-		c.ClusterGossipInterval = time.Second
-	}
-	if c.ClusterLeaseTTL <= 0 {
-		c.ClusterLeaseTTL = 30 * time.Second
-	}
 	if c.FlightRecentSlots <= 0 {
 		c.FlightRecentSlots = 1024
 	}
@@ -176,10 +159,8 @@ type Server struct {
 	cancel  context.CancelFunc
 	started time.Time
 
-	// cluster is set by StartCluster (nil in single-node mode);
 	// draining flips on BeginShutdown so /healthz reports not-ready
 	// before the listener starts refusing connections.
-	cluster  atomic.Pointer[clusterState]
 	draining atomic.Bool
 
 	// gridsBody and workloadsBody are the static discovery responses,
@@ -238,13 +219,6 @@ func New(cfg Config) *Server {
 	// instrument(): a stream lives as long as its client, which would
 	// read as one enormous "slow request" in its own recorder.
 	s.mux.HandleFunc("GET /v1/metrics/stream", s.handleMetricsStream)
-	// Cluster control plane: mounted unconditionally, 503 until
-	// StartCluster. Outside instrument() like the stream endpoints —
-	// gossip chatter would drown the request telemetry.
-	s.mux.HandleFunc("POST /cluster/v1/gossip", s.handleClusterGossip)
-	s.mux.HandleFunc("POST /cluster/v1/sweeps/work", s.handleClusterWork)
-	s.mux.HandleFunc("POST /cluster/v1/sweeps/{id}/claim", s.handleClusterClaim)
-	s.mux.HandleFunc("POST /cluster/v1/sweeps/{id}/complete", s.handleClusterComplete)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /livez", s.handleLive)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -272,9 +246,6 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 func (s *Server) Close() {
 	s.cancel()
 	s.pool.Close()
-	if c := s.cluster.Load(); c != nil {
-		c.node.Close()
-	}
 	if s.store != nil {
 		if err := s.store.Close(); err != nil {
 			s.log.Error("result store close", "error", err)
@@ -422,13 +393,10 @@ func putEncodeBuf(buf *bytes.Buffer) {
 // served: "HIT", "MISS" (this request led the computation),
 // "COALESCED" (piggybacked on an identical in-flight computation),
 // "STORE" (served from the persistent result store after eviction or a
-// restart, without recomputation) or "REMOTE" (cluster mode: the key's
-// owning peer served it; fwd is nil outside cluster mode and on every
-// serve-locally path, and concurrent misses of a routed key coalesce
-// onto a single forward).
+// restart, without recomputation).
 //
 //ppatc:hotpath
-func (s *Server) compute(ctx context.Context, key string, work workFn, att *flight.Attribution, fwd *forwardSpec) (body []byte, disposition string, err error) {
+func (s *Server) compute(ctx context.Context, key string, work workFn, att *flight.Attribution) (body []byte, disposition string, err error) {
 	lookupStart := time.Now()
 	if b, ok := s.cache.Get(key); ok {
 		s.metrics.CacheHits.Add(1)
@@ -458,20 +426,9 @@ func (s *Server) compute(ctx context.Context, key string, work workFn, att *flig
 		// coalesced waiters; the pool enforces queue bounds.
 		jctx, cancel := context.WithTimeout(s.base, s.cfg.RequestTimeout)
 		defer cancel()
-		var forwardNS int64
-		if fwd != nil {
-			body, fbd, ok := s.computeForward(jctx, key, fwd)
-			if ok {
-				return body, fbd, nil
-			}
-			// Forward failed: fall through and compute locally, keeping
-			// the time already spent forwarding attributed to peer_forward.
-			forwardNS = fbd.PeerForwardNS
-		}
 		buf := getEncodeBuf()
 		defer putEncodeBuf(buf)
 		bd, err := s.runWork(jctx, class, work, s.memo, buf)
-		bd.PeerForwardNS = forwardNS
 		if err != nil {
 			return nil, bd, err
 		}
@@ -489,9 +446,6 @@ func (s *Server) compute(ctx context.Context, key string, work workFn, att *flig
 	if shared {
 		s.metrics.Coalesced.Add(1)
 		return b, "COALESCED", err
-	}
-	if bd.Remote {
-		return b, "REMOTE", err
 	}
 	return b, "MISS", err
 }
@@ -517,7 +471,7 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 // ?trace=1 the request bypasses the cache, computes fresh under a trace
 // rooted at its request ID, and returns the span tree inline alongside
 // the result.
-func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, key string, work workFn, fwd *forwardSpec) {
+func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, key string, work workFn) {
 	// Query() allocates its map; the common request has no query string
 	// at all, so don't parse one unless it's there.
 	if r.URL.RawQuery != "" {
@@ -526,14 +480,11 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, key strin
 			return
 		}
 	}
-	if s.cluster.Load() != nil && s.refuseForwardLoop(w, r) {
-		return
-	}
 	att := attributionOf(w)
 	// Single evaluations are interactive by endpoint: the client is
 	// waiting on exactly one request-sized result.
 	att.Class = ClassInteractive.String()
-	body, disposition, err := s.compute(r.Context(), key, work, att, fwd)
+	body, disposition, err := s.compute(r.Context(), key, work, att)
 	att.Disposition = disposition
 	if err != nil {
 		s.writeComputeError(w, err)
@@ -643,10 +594,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := evaluateKey(sysName, wl.Name, grid.Name)
-	fwd := s.forwardSpecFor(r, "/v1/evaluate", key,
-		evaluateRequest{System: sysName, Workload: wl.Name, Grid: grid.Name})
-	s.serveComputed(w, r, key, s.evaluateWork(sysName, wl, grid), fwd)
+	s.serveComputed(w, r, evaluateKey(sysName, wl.Name, grid.Name), s.evaluateWork(sysName, wl, grid))
 }
 
 // evaluateWork builds the workFn computing one (system, workload, grid)
@@ -688,9 +636,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := suiteKey(grid.Name)
-	fwd := s.forwardSpecFor(r, "/v1/suite", key, suiteRequest{Grid: grid.Name})
-	s.serveComputed(w, r, key, func(ctx context.Context, memo *core.Memo, buf *bytes.Buffer) (int64, error) {
+	s.serveComputed(w, r, suiteKey(grid.Name), func(ctx context.Context, memo *core.Memo, buf *bytes.Buffer) (int64, error) {
 		rows, err := memo.SuiteContext(ctx, grid)
 		if err != nil {
 			return 0, err
@@ -698,7 +644,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		encStart := time.Now()
 		err = core.WriteSuiteJSON(buf, rows)
 		return time.Since(encStart).Nanoseconds(), err
-	}, fwd)
+	})
 }
 
 // tcdpRequest asks for the carbon-efficiency comparison of the two
@@ -747,6 +693,12 @@ type tcdpResponse struct {
 	Isoline           []isolinePoint `json:"isoline"`
 }
 
+// maxTCDPInput bounds a what-if's months and op_scales. It is far past
+// any physical lifetime or energy scale; what it keeps out are values
+// like 1e308, whose isoline or carbon totals overflow to ±Inf, which no
+// JSON body can carry.
+const maxTCDPInput = 1e6
+
 func (s *Server) handleTCDP(w http.ResponseWriter, r *http.Request) {
 	var req tcdpRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -762,16 +714,16 @@ func (s *Server) handleTCDP(w http.ResponseWriter, r *http.Request) {
 	if req.Months == 0 {
 		req.Months = 24
 	}
-	if req.Months <= 0 {
-		writeError(w, http.StatusBadRequest, errors.New("months must be positive"))
+	if req.Months <= 0 || req.Months > maxTCDPInput {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("months must be in (0, %g]", maxTCDPInput))
 		return
 	}
 	if len(req.OpScales) == 0 {
 		req.OpScales = []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5}
 	}
 	for _, y := range req.OpScales {
-		if y <= 0 {
-			writeError(w, http.StatusBadRequest, errors.New("op_scales must be positive"))
+		if y <= 0 || y > maxTCDPInput {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("op_scales must be in (0, %g]", maxTCDPInput))
 			return
 		}
 	}
@@ -786,12 +738,9 @@ func (s *Server) handleTCDP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := RequestKey("tcdp", wl.Name, grid.Name, req.Months, req.OpScales)
-	fwd := s.forwardSpecFor(r, "/v1/tcdp", key, tcdpRequest{
-		Workload: wl.Name, Grid: grid.Name, Months: req.Months, OpScales: req.OpScales,
-	})
 	s.serveComputed(w, r, key, func(ctx context.Context, memo *core.Memo, buf *bytes.Buffer) (int64, error) {
 		return computeTCDP(ctx, memo, buf, wl, grid, req.Months, req.OpScales)
-	}, fwd)
+	})
 }
 
 // computeTCDP evaluates both designs through memo and encodes the
@@ -916,9 +865,16 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
+// BeginShutdown flips /healthz to draining. Call it before
+// http.Server.Shutdown so load balancers stop routing here while
+// in-flight requests drain.
+func (s *Server) BeginShutdown() {
+	s.draining.Store(true)
+}
+
 // handleHealth is readiness: a draining server answers 503 so load
-// balancers and cluster peers stop routing to it before the listener
-// closes (BeginShutdown flips the flag ahead of drain). Use /livez for
+// balancers stop routing to it before the listener closes
+// (BeginShutdown flips the flag ahead of drain). Use /livez for
 // liveness — it stays 200 for as long as the process can serve at all.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
@@ -936,9 +892,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"queue_depth":  s.pool.QueueDepth(),
 		"cache_shards": s.cache.Shards(),
 		"persistence":  s.persist,
-	}
-	if ch := s.clusterHealth(); ch != nil {
-		body["cluster"] = ch
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

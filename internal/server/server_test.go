@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ppatc/internal/carbon"
+	"ppatc/internal/embench"
 )
 
 func quietConfig() Config {
@@ -261,6 +265,45 @@ func TestTCDPEndpoint(t *testing.T) {
 	}
 }
 
+// TestTCDPInputBounds pins the what-if input range: at the bounds every
+// bundled workload and grid answers 200 (each tCDP quantity finite, so
+// the body encodes), and past them the request is a 400, not the 500 of
+// an isoline that overflowed to -Inf (op_scales [1e308], found by
+// FuzzRequestBodies).
+func TestTCDPInputBounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("evaluates every workload on both designs")
+	}
+	srv := New(quietConfig())
+	defer srv.Close()
+	do := func(body string) (int, string) {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tcdp", strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	for _, wl := range embench.Workloads() {
+		for _, g := range carbon.Grids() {
+			for _, months := range []float64{math.SmallestNonzeroFloat64, maxTCDPInput} {
+				body := fmt.Sprintf(`{"workload":%q,"grid":%q,"months":%g,"op_scales":[%g,%g]}`,
+					wl.Name, g.Name, months, math.SmallestNonzeroFloat64, float64(maxTCDPInput))
+				if code, got := do(body); code != http.StatusOK {
+					t.Errorf("%s: %d %s", body, code, got)
+				}
+			}
+		}
+	}
+	for _, body := range []string{
+		`{"op_scales":[1e308]}`,
+		`{"op_scales":[1000001]}`,
+		`{"months":1e308}`,
+		`{"months":1000001}`,
+	} {
+		if code, got := do(body); code != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", body, code, got)
+		}
+	}
+}
+
 func TestSuiteEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite evaluates every workload on both designs")
@@ -333,6 +376,31 @@ func TestBadRequests(t *testing.T) {
 	resp, _ := get(t, ts, "/v1/evaluate")
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/evaluate status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestReadinessLivenessSplit pins the drain ordering: BeginShutdown
+// flips /healthz to 503 draining before any listener work, while
+// /livez stays 200.
+func TestReadinessLivenessSplit(t *testing.T) {
+	srv, ts := newTestServer(t)
+
+	resp, _ := get(t, ts, "/healthz")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthy /healthz = %d", resp.StatusCode)
+	}
+
+	srv.BeginShutdown()
+
+	resp, body := get(t, ts, "/healthz")
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("draining /healthz = %d, want 503", resp.StatusCode)
+	}
+	if !strings.Contains(string(body), `"draining"`) {
+		t.Errorf("draining /healthz body: %s", body)
+	}
+	if resp, _ := get(t, ts, "/livez"); resp.StatusCode != http.StatusOK {
+		t.Errorf("draining /livez = %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -191,19 +191,9 @@ func (s *Server) runSweep(j *sweepJob) {
 	j.mu.Unlock()
 	// Fresh evaluations write through to the store; a persist failure
 	// degrades (metered) rather than failing the sweep.
-	persist := func(r dse.Result) { s.persistPoint(j.plan, r, j.requestID) }
 	opts.OnComplete = func(r dse.Result) error {
-		persist(r)
+		s.persistPoint(j.plan, r, j.requestID)
 		return nil
-	}
-
-	// With alive peers, shard the plan across the cluster instead of
-	// running it on one box: the coordinator merges ranges back into
-	// plan order, so the committed results — and the persistence writes
-	// — are the same either way.
-	if n := s.clusterNode(); n != nil && len(n.AlivePeers()) > 0 {
-		s.runDistributedSweep(ctx, j, completed, persist, start)
-		return
 	}
 
 	results, err := dse.RunPlan(ctx, j.plan, opts)
@@ -278,27 +268,24 @@ func (j *sweepJob) snapshot() sweepStatus {
 	}
 }
 
-// expandSweep expands a parsed spec into its plan, once the spec's
-// point count is within SweepMaxPoints: the count is checked before
-// anything is built.
-func (s *Server) expandSweep(spec *dse.Spec) (*dse.Plan, error) {
-	n, err := spec.PointCount()
-	if err != nil {
-		return nil, err
-	}
-	if n > s.cfg.SweepMaxPoints {
-		return nil, fmt.Errorf("sweep has %d points, cap is %d", n, s.cfg.SweepMaxPoints)
-	}
-	return dse.Expand(spec)
-}
-
 func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 	spec, err := dse.ParseSpec(http.MaxBytesReader(nil, r.Body, 1<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	plan, err := s.expandSweep(spec)
+	// The point count is checked against SweepMaxPoints before anything
+	// is built.
+	n, err := spec.PointCount()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if n > s.cfg.SweepMaxPoints {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("sweep has %d points, cap is %d", n, s.cfg.SweepMaxPoints))
+		return
+	}
+	plan, err := dse.Expand(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
