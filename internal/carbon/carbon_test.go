@@ -314,35 +314,6 @@ func TestMeanWindowToleratesHourDrift(t *testing.T) {
 	}
 }
 
-func TestPeakHoursTieBreakDeterministic(t *testing.T) {
-	// Pins the suppressed exact comparison in PeakHours' sort: on a
-	// flat profile every window ties, and the tie-break must pick the
-	// earliest start rather than whatever order sort.Slice visits.
-	flat := &HourlyProfile{Name: "flat"}
-	for i := range flat.Hours {
-		flat.Hours[i] = units.GramsPerKilowattHour(400)
-	}
-	for n := 1; n <= 4; n++ {
-		start, end := PeakHours(flat, n)
-		if start != 0 || end != n%24 {
-			t.Errorf("PeakHours(flat, %d) = (%d, %d), want (0, %d)", n, start, end, n%24)
-		}
-	}
-}
-
-func TestPeakHours(t *testing.T) {
-	prof := EveningPeak(units.GramsPerKilowattHour(380))
-	start, end := PeakHours(prof, 2)
-	// The evening-peak shape is highest at 18-21; a 2-hour window should
-	// start at 18 or 19.
-	if start != 18 && start != 19 {
-		t.Errorf("peak window starts at %d, want 18 or 19", start)
-	}
-	if end != (start+2)%24 {
-		t.Errorf("end = %d, want start+2 mod 24", end)
-	}
-}
-
 func TestTotalType(t *testing.T) {
 	tot := Total{Embodied: units.GramsCO2e(3.11), Operational: units.GramsCO2e(2.0)}
 	if got := tot.TC().Grams(); !almostEqual(got, 5.11, 1e-12) {

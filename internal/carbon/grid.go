@@ -7,7 +7,6 @@ package carbon
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"ppatc/internal/units"
@@ -298,30 +297,4 @@ func normalizedProfile(name string, shape [24]float64, mean units.CarbonIntensit
 		p.Hours[i] = units.CarbonIntensity(v * scale)
 	}
 	return p
-}
-
-// PeakHours reports the n consecutive whole hours of the day with the
-// highest average intensity, returned as [start, end) hours. Useful for
-// locating a profile's worst usage window.
-func PeakHours(p Profile, n int) (start, end int) {
-	if n <= 0 || n > 24 {
-		n = 1
-	}
-	type window struct {
-		start int
-		mean  float64
-	}
-	var wins []window
-	for s := 0; s < 24; s++ {
-		m := float64(MeanWindow(p, float64(s), float64(s+n)))
-		wins = append(wins, window{s, m})
-	}
-	sort.Slice(wins, func(i, j int) bool {
-		//ppatcvet:ignore floatcmp sort tie-break: exact inequality only chooses between equally valid orders
-		if wins[i].mean != wins[j].mean {
-			return wins[i].mean > wins[j].mean
-		}
-		return wins[i].start < wins[j].start
-	})
-	return wins[0].start, (wins[0].start + n) % 24
 }

@@ -295,58 +295,6 @@ func TestTemperatureCollapsesSiRetention(t *testing.T) {
 	}
 }
 
-func TestSenseAmpResolves(t *testing.T) {
-	sa := PaperSenseAmp(15e-15)
-	res, err := CharacterizeSenseAmp(sa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A 7 nm latch resolving 15 fF loads lands well under a nanosecond and
-	// must fit the sense stage of the 2 ns access budget.
-	if res.ResolveTime <= 0 || res.ResolveTime > 500e-12 {
-		t.Errorf("resolve time = %.3g s, want (0, 500 ps]", res.ResolveTime)
-	}
-	if res.Energy <= 0 || res.Energy > 1e-13 {
-		t.Errorf("sense energy = %.3g J, want small positive", res.Energy)
-	}
-}
-
-func TestSenseAmpLargerDifferentialFaster(t *testing.T) {
-	small := PaperSenseAmp(15e-15)
-	small.InputDifferential = 0.05
-	big := PaperSenseAmp(15e-15)
-	big.InputDifferential = 0.20
-	rs, err := CharacterizeSenseAmp(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := CharacterizeSenseAmp(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.ResolveTime >= rs.ResolveTime {
-		t.Errorf("larger differential should resolve faster: %.3g vs %.3g",
-			rb.ResolveTime, rs.ResolveTime)
-	}
-}
-
-func TestSenseAmpValidation(t *testing.T) {
-	bad := PaperSenseAmp(15e-15)
-	bad.NW = 0
-	if _, err := CharacterizeSenseAmp(bad); err == nil {
-		t.Error("zero width should fail")
-	}
-	bad = PaperSenseAmp(0)
-	if _, err := CharacterizeSenseAmp(bad); err == nil {
-		t.Error("zero load should fail")
-	}
-	bad = PaperSenseAmp(15e-15)
-	bad.InputDifferential = 1.0
-	if _, err := CharacterizeSenseAmp(bad); err == nil {
-		t.Error("differential ≥ VDD should fail")
-	}
-}
-
 // TestReadIsNonDestructive verifies the 3T topology's key property (paper
 // Sec. III-A: high endurance, charge-based, non-destructive reads): the
 // storage node barely moves while the read stack discharges the bitline.
@@ -402,42 +350,6 @@ func TestReadIsNonDestructive(t *testing.T) {
 	}
 	if rbl > d.VDD-0.05 {
 		t.Errorf("bitline never discharged (%.3f V): read did not happen", rbl)
-	}
-}
-
-func TestRefreshInterference(t *testing.T) {
-	si := buildSi(t)
-	clk := units.Megahertz(500)
-	ri, err := si.Interference(clk, 0.85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ri.RowRefreshesPerSecond <= 0 {
-		t.Fatal("Si macro must refresh rows")
-	}
-	// Distributed refresh on a 32-mat macro barely collides — the penalty
-	// must be tiny but nonzero.
-	if ri.CollisionProbability <= 0 || ri.CollisionProbability > 0.01 {
-		t.Errorf("collision probability = %v, want small positive", ri.CollisionProbability)
-	}
-	if ri.EffectiveCPIPenalty >= 0.01 {
-		t.Errorf("CPI penalty = %v, want < 1%%", ri.EffectiveCPIPenalty)
-	}
-	// The M3D macro has zero interference.
-	m3d := buildM3D(t)
-	rm, err := m3d.Interference(clk, 0.85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rm.BusyFraction != 0 || rm.EffectiveCPIPenalty != 0 {
-		t.Error("refresh-free macro must have zero interference")
-	}
-	// Validation.
-	if _, err := si.Interference(0, 0.5); err == nil {
-		t.Error("zero clock should fail")
-	}
-	if _, err := si.Interference(clk, 1.5); err == nil {
-		t.Error("access rate > 1 should fail")
 	}
 }
 

@@ -25,6 +25,12 @@ const maxBatchItems = 256
 // interactive (it is request-sized work), anything colder is bulk.
 const batchInteractiveMisses = 4
 
+// batchChunk bounds one sub-unit of a cold /v1/batch fan-out: a bulk
+// batch's misses are split into chunks of this many items that run
+// sequentially, so one batch occupies at most misses/batchChunk pool
+// slots at a time and concurrent batches interleave.
+const batchChunk = 16
+
 // batchItem names one evaluation tuple of a batch request.
 type batchItem struct {
 	// System is "all-Si", "M3D IGZO/CNFET/Si", or the shorthands si/m3d.
@@ -150,10 +156,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		att.Class = class.String()
 		ctx := r.Context()
-		chunkSize := s.cfg.BatchChunk
-		chunks := make([][]pending, 0, (len(misses)+chunkSize-1)/chunkSize)
-		for lo := 0; lo < len(misses); lo += chunkSize {
-			hi := lo + chunkSize
+		chunks := make([][]pending, 0, (len(misses)+batchChunk-1)/batchChunk)
+		for lo := 0; lo < len(misses); lo += batchChunk {
+			hi := lo + batchChunk
 			if hi > len(misses) {
 				hi = len(misses)
 			}

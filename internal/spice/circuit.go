@@ -21,7 +21,6 @@ package spice
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"ppatc/internal/device"
 )
@@ -66,8 +65,6 @@ type element interface {
 	// stamp adds the element's contribution at the given solution guess x
 	// and time step state.
 	stamp(sys *system, st *stampState)
-	// name identifies the element for error messages.
-	name() string
 }
 
 // stampState carries the solver context elements may need.
@@ -197,12 +194,9 @@ func abs(v float64) float64 {
 // --- Elements -------------------------------------------------------------
 
 type resistor struct {
-	id     string
 	n1, n2 int
 	r      float64
 }
-
-func (r *resistor) name() string { return r.id }
 
 func (r *resistor) stamp(sys *system, st *stampState) {
 	g := 1 / r.r
@@ -213,12 +207,9 @@ func (r *resistor) stamp(sys *system, st *stampState) {
 }
 
 type capacitor struct {
-	id     string
 	n1, n2 int
 	c      float64
 }
-
-func (c *capacitor) name() string { return c.id }
 
 func (c *capacitor) stamp(sys *system, st *stampState) {
 	if st.dcMode || st.dt == 0 {
@@ -244,8 +235,6 @@ type vsource struct {
 	brOffset int // set by the circuit when assembling
 }
 
-func (v *vsource) name() string { return v.id }
-
 func (v *vsource) stamp(sys *system, st *stampState) {
 	k := v.brIdx
 	sys.addG(v.np, k, 1)
@@ -256,12 +245,9 @@ func (v *vsource) stamp(sys *system, st *stampState) {
 }
 
 type isource struct {
-	id     string
 	np, nn int
 	wave   Waveform
 }
-
-func (i *isource) name() string { return i.id }
 
 func (i *isource) stamp(sys *system, st *stampState) {
 	cur := i.wave.V(st.t)
@@ -272,13 +258,10 @@ func (i *isource) stamp(sys *system, st *stampState) {
 
 // fet is a nonlinear FET linearized around the current Newton guess.
 type fet struct {
-	id      string
 	d, g, s int
 	params  device.Params
 	w       float64
 }
-
-func (f *fet) name() string { return f.id }
 
 func (f *fet) stamp(sys *system, st *stampState) {
 	vgs := st.v(f.g) - st.v(f.s)
@@ -306,7 +289,7 @@ func (c *Circuit) AddR(id, n1, n2 string, ohms float64) error {
 	if ohms <= 0 {
 		return fmt.Errorf("spice: resistor %s must have positive resistance", id)
 	}
-	c.elems = append(c.elems, &resistor{id: id, n1: c.Node(n1), n2: c.Node(n2), r: ohms})
+	c.elems = append(c.elems, &resistor{n1: c.Node(n1), n2: c.Node(n2), r: ohms})
 	return nil
 }
 
@@ -315,7 +298,7 @@ func (c *Circuit) AddC(id, n1, n2 string, farads float64) error {
 	if farads <= 0 {
 		return fmt.Errorf("spice: capacitor %s must have positive capacitance", id)
 	}
-	c.elems = append(c.elems, &capacitor{id: id, n1: c.Node(n1), n2: c.Node(n2), c: farads})
+	c.elems = append(c.elems, &capacitor{n1: c.Node(n1), n2: c.Node(n2), c: farads})
 	return nil
 }
 
@@ -334,7 +317,7 @@ func (c *Circuit) AddI(id, np, nn string, w Waveform) error {
 	if w == nil {
 		return fmt.Errorf("spice: source %s needs a waveform", id)
 	}
-	c.elems = append(c.elems, &isource{id: id, np: c.Node(np), nn: c.Node(nn), wave: w})
+	c.elems = append(c.elems, &isource{np: c.Node(np), nn: c.Node(nn), wave: w})
 	return nil
 }
 
@@ -348,28 +331,10 @@ func (c *Circuit) AddFET(id, drain, gate, source string, p device.Params, widthM
 		return fmt.Errorf("spice: FET %s must have positive width", id)
 	}
 	c.elems = append(c.elems, &fet{
-		id: id, d: c.Node(drain), g: c.Node(gate), s: c.Node(source),
+		d: c.Node(drain), g: c.Node(gate), s: c.Node(source),
 		params: p, w: widthMeters,
 	})
 	return nil
-}
-
-// ElementNames lists element identifiers in insertion order (for tests and
-// netlist dumps).
-func (c *Circuit) ElementNames() []string {
-	out := make([]string, 0, len(c.elems))
-	for _, e := range c.elems {
-		out = append(out, e.name())
-	}
-	return out
-}
-
-// SourceNames lists voltage source identifiers sorted by name.
-func (c *Circuit) SourceNames() []string {
-	out := make([]string, len(c.vsrcNames))
-	copy(out, c.vsrcNames)
-	sort.Strings(out)
-	return out
 }
 
 // unknowns assigns branch indices and reports the system size.

@@ -337,3 +337,165 @@ func mustNoErr(t *testing.T, err error) {
 		t.Fatal(err)
 	}
 }
+
+func TestTransientPWLSource(t *testing.T) {
+	pwl, err := NewPWL([2]float64{0, 0}, [2]float64{1e-9, 0.7}, [2]float64{2e-9, 0.35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCircuit()
+	mustNoErr(t, c.AddV("v1", "a", Ground, pwl))
+	mustNoErr(t, c.AddR("r1", "a", Ground, 1e3))
+	tr, err := c.Transient(2e-9, 0.05e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := tr.At("a", 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(v-0.7) > 0.01 {
+		t.Errorf("pwl at 1 ns = %v, want 0.7", v)
+	}
+}
+
+// TestEnergyConservationRC verifies the simulator's books balance: in a
+// driven RC, the source's delivered energy equals the capacitor's stored
+// energy plus the resistor's dissipation (computed independently from the
+// waveforms).
+func TestEnergyConservationRC(t *testing.T) {
+	c := NewCircuit()
+	if err := c.AddV("vs", "in", Ground, Pulse{V1: 0, V2: 1, Rise: 1e-12, Width: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddR("r", "in", "out", 2000); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddC("c", "out", Ground, 2e-9); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := c.Transient(40e-6, 4e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered, err := tr.SourceEnergy("vs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vin, err := tr.Voltage("in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vout, err := tr.Voltage("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Dissipation: ∫ (vin−vout)²/R dt (trapezoidal).
+	var dissipated float64
+	for i := 1; i < len(tr.Times); i++ {
+		dt := tr.Times[i] - tr.Times[i-1]
+		p0 := (vin[i-1] - vout[i-1]) * (vin[i-1] - vout[i-1]) / 2000
+		p1 := (vin[i] - vout[i]) * (vin[i] - vout[i]) / 2000
+		dissipated += dt * (p0 + p1) / 2
+	}
+	stored := 0.5 * 2e-9 * vout[len(vout)-1] * vout[len(vout)-1]
+	balance := (stored + dissipated) / delivered
+	if balance < 0.98 || balance > 1.02 {
+		t.Errorf("energy books off: delivered %.4g, stored %.4g + dissipated %.4g (ratio %.4f)",
+			delivered, stored, dissipated, balance)
+	}
+}
+
+// TestKCLAtOperatingPoint verifies Kirchhoff's current law holds at a
+// solved DC node: the three resistor currents into a star node sum to
+// (numerically) zero.
+func TestKCLAtOperatingPoint(t *testing.T) {
+	c := NewCircuit()
+	if err := c.AddV("v1", "a", Ground, DC(1.0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddV("v2", "b", Ground, DC(-0.5)); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		id, n1, n2 string
+		ohms       float64
+	}{
+		{"ra", "a", "star", 1000},
+		{"rb", "b", "star", 2200},
+		{"rc", "star", Ground, 4700},
+	} {
+		if err := c.AddR(r.id, r.n1, r.n2, r.ohms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op, err := c.OP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, _ := op.Voltage("a")
+	vb, _ := op.Voltage("b")
+	vs, _ := op.Voltage("star")
+	sum := (va-vs)/1000 + (vb-vs)/2200 + (0-vs)/4700
+	if sum > 1e-9 || sum < -1e-9 {
+		t.Errorf("KCL violated at star node: residual %.3g A", sum)
+	}
+}
+
+// TestRingOscillator closes the loop: a 5-stage inverter ring must
+// oscillate with a period of ≈2·N stage delays — the canonical transient
+// self-test of a circuit simulator (feedback, no driving source).
+func TestRingOscillator(t *testing.T) {
+	c := NewCircuit()
+	mustNoErr(t, c.AddV("vdd", "vdd", Ground, DC(device.VDD)))
+	const stages = 5
+	for i := 0; i < stages; i++ {
+		in := nodeName("n", i)
+		out := nodeName("n", (i+1)%stages)
+		mustNoErr(t, c.AddFET(nodeName("mp", i), out, in, "vdd", device.SiPFET(device.SLVT), 54e-9))
+		mustNoErr(t, c.AddFET(nodeName("mn", i), out, in, Ground, device.SiNFET(device.SLVT), 36e-9))
+		mustNoErr(t, c.AddC(nodeName("c", i), out, Ground, 0.5e-15))
+	}
+	// Kick the ring out of its metastable DC point.
+	mustNoErr(t, c.AddI("kick", Ground, "n0", Pulse{V1: 0, V2: 20e-6, Delay: 1e-12, Rise: 1e-12, Width: 30e-12, Fall: 1e-12}))
+	tr, err := c.Transient(3e-9, 0.5e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Count rising crossings of VDD/2 on one node in the second half
+	// (after start-up).
+	w, err := tr.Voltage("n0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crossings []float64
+	for i := 1; i < len(tr.Times); i++ {
+		if tr.Times[i] < 1e-9 {
+			continue
+		}
+		if w[i-1] < device.VDD/2 && w[i] >= device.VDD/2 {
+			crossings = append(crossings, tr.Times[i])
+		}
+	}
+	if len(crossings) < 3 {
+		t.Fatalf("ring did not oscillate: %d rising crossings", len(crossings))
+	}
+	period := (crossings[len(crossings)-1] - crossings[0]) / float64(len(crossings)-1)
+	// Period ≈ 2 × stages × stage delay; with ~0.5 fF loads at SLVT the
+	// stage delay is a few ps, so expect tens of ps overall.
+	if period < 10e-12 || period > 500e-12 {
+		t.Errorf("oscillation period = %.3g s, want 10-500 ps", period)
+	}
+	// Periods are stable: max deviation between consecutive periods < 20%.
+	for i := 2; i < len(crossings); i++ {
+		p1 := crossings[i-1] - crossings[i-2]
+		p2 := crossings[i] - crossings[i-1]
+		if p2 > 1.2*p1 || p2 < 0.8*p1 {
+			t.Errorf("unstable period: %.3g then %.3g", p1, p2)
+		}
+	}
+}
+
+func nodeName(prefix string, i int) string {
+	return prefix + string(rune('0'+i))
+}

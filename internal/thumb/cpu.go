@@ -38,7 +38,9 @@ func NewCPU(mem *Memory) *CPU {
 // before the program halts.
 var ErrCycleBudget = errors.New("thumb: cycle budget exhausted")
 
-// Run executes until BKPT or until the cycle budget is exceeded.
+// Run executes until BKPT or until the cycle budget is exceeded. A PC
+// inside the loaded image runs its predecoded op; any other PC fetches
+// and decodes its halfword first.
 func (c *CPU) Run(maxCycles uint64) error {
 	if c.Halted {
 		return nil
@@ -46,17 +48,6 @@ func (c *CPU) Run(maxCycles uint64) error {
 	if c.Cycles >= maxCycles {
 		return ErrCycleBudget
 	}
-	return c.exec(maxCycles, false)
-}
-
-// Step executes one instruction.
-func (c *CPU) Step() error { return c.exec(0, true) }
-
-// exec is the simulator loop behind Run and Step: it executes one
-// instruction, then, unless once is set, continues until BKPT or the
-// cycle budget. A PC inside the loaded image runs its predecoded op; any
-// other PC fetches and decodes its halfword first.
-func (c *CPU) exec(maxCycles uint64, once bool) error {
 	mem := c.Mem
 	for {
 		pc := c.R[15]
@@ -437,7 +428,7 @@ func (c *CPU) exec(maxCycles uint64, once bool) error {
 		default:
 			return fmt.Errorf("thumb: undefined instruction %#04x at %#x", in.instr, pc)
 		}
-		if once || c.Halted {
+		if c.Halted {
 			return nil
 		}
 		if c.Cycles >= maxCycles {

@@ -18,9 +18,7 @@
 //	internal/synth     M0 synthesis and timing closure
 //	internal/thumb     ARMv6-M assembler + Cortex-M0 simulator
 //	internal/embench   Embench-style workloads with golden models
-//	internal/power     VCD waveforms and activity-based power
 //	internal/floorplan chip composition
-//	internal/gds       GDSII layout of the M3D array
 //	internal/tcdp      tC-vs-lifetime, tCDP, isolines (Figs. 5-6)
 //	internal/core      the PPAtC engine and experiment drivers
 //
